@@ -5,9 +5,12 @@ type t = {
   radj : int list array;
   weight : float array;
   eligible : bool array;
+  dedup_probes : int;
 }
 
 let component_count t = Array.length t.comps
+
+let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
 let condense pdg ~surviving =
   let comps = Array.of_list (Ir.Pdg.sccs pdg ~consider:surviving ()) in
@@ -26,10 +29,22 @@ let condense pdg ~surviving =
   let adj = Array.make k [] in
   let radj = Array.make k [] in
   let internal_carried = Array.make k false in
-  (* Dedup cross-component edges through a hashed edge set keyed by
-     [src * k + dst]: one O(1) membership test per edge, instead of the
-     O(deg) adjacency-list scan that went quadratic on dense PDGs. *)
-  let edge_seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* Dedup cross-component edges through a chained hash set of
+     [src * k + dst] keys, sized to the edge count up front: about one
+     bucket probe per edge, instead of the O(deg) adjacency-list scan
+     that went quadratic on dense PDGs.  Every bucket lookup and every
+     key compared along a chain counts in [probes], a deterministic
+     measure of the dedup's cost. *)
+  let edges = Ir.Pdg.edges pdg in
+  let nb = pow2 (2 * List.length edges) 1 in
+  let buckets = Array.make nb [] in
+  let probes = ref 0 in
+  let rec chain_mem key = function
+    | [] -> false
+    | x :: rest ->
+      incr probes;
+      x = key || chain_mem key rest
+  in
   List.iter
     (fun (e : Ir.Pdg.edge) ->
       if surviving e then begin
@@ -39,18 +54,20 @@ let condense pdg ~surviving =
         end
         else begin
           let key = (cs * k) + cd in
-          if not (Hashtbl.mem edge_seen key) then begin
-            Hashtbl.add edge_seen key ();
+          let b = Hashtbl.hash key land (nb - 1) in
+          incr probes;
+          if not (chain_mem key buckets.(b)) then begin
+            buckets.(b) <- key :: buckets.(b);
             adj.(cs) <- cd :: adj.(cs);
             radj.(cd) <- cs :: radj.(cd)
           end
         end
       end)
-    (Ir.Pdg.edges pdg);
+    edges;
   let eligible =
     Array.init k (fun ci -> (not internal_carried.(ci)) && all_replicable.(ci))
   in
-  { comps; comp_of; adj; radj; weight; eligible }
+  { comps; comp_of; adj; radj; weight; eligible; dedup_probes = !probes }
 
 (* Depth-first with an explicit worklist: the recursive version
    overflowed the OCaml stack on ~100k-deep condensation chains. *)

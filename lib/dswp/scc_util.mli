@@ -23,13 +23,19 @@ type t = {
   eligible : bool array;
       (** parallel-eligible: no surviving loop-carried edge internal to
           the component and every member node replicable *)
+  dedup_probes : int;
+      (** bucket lookups plus keys compared while deduplicating
+          cross-component edges: a deterministic cost count, a little
+          over one per surviving cross-component edge (the set keeps at
+          least two buckets per edge) *)
 }
 
 val condense : Ir.Pdg.t -> surviving:(Ir.Pdg.edge -> bool) -> t
 (** O(nodes + edges): SCCs via {!Ir.Pdg.sccs}, then a single edge pass
     classifying each surviving edge as cross-component (deduplicated
     through a hashed edge set, not an adjacency-list scan) or internal
-    (feeding eligibility). *)
+    (feeding eligibility).  The set's work is reported in
+    [dedup_probes]. *)
 
 val component_count : t -> int
 

@@ -58,73 +58,83 @@ let k_pop_stall = 2
 let k_squash = 3
 let k_validate = 4
 
+(* Per-role seconds.  An all-float record is stored flat, so updating
+   a field stores an unboxed float and allocates nothing. *)
+type clocks = {
+  mutable busy : float;
+  mutable starved : float;
+  mutable blocked : float;
+  mutable span_t0 : float;  (* start of the current stage body *)
+  mutable stall_t0 : float;  (* start of the current stall *)
+}
+
 (* Per-role accounting; each role mutates only its own record, so no
    synchronization is needed (the records are read after the batch
    joins). *)
 type acct = {
   mutable items : int;
-  mutable busy : float;
-  mutable starved : float;
-  mutable blocked : float;
+  clk : clocks;
   mutable evs : Obs.Event.t list;  (* newest first *)
   prb : Obs.Probe.t option;  (* written only by the owning role *)
 }
 
 let make_acct ~prb () =
-  { items = 0; busy = 0.; starved = 0.; blocked = 0.; evs = []; prb }
+  {
+    items = 0;
+    clk = { busy = 0.; starved = 0.; blocked = 0.; span_t0 = 0.; stall_t0 = 0. };
+    evs = [];
+    prb;
+  }
 
 (* Same bounded spin-then-sleep policy as {!Spsc.push}: on an
    oversubscribed machine a spinning role must yield its timeslice to
    whichever role can make progress. *)
 let backoff k = if k < 512 then Domain.cpu_relax () else Unix.sleepf 5e-5
 
-(* Stall durations are recorded only on the slow path (the ring looked
-   empty/full at least once), so the probe costs nothing on a smooth
-   pipeline. *)
-let stall_probe acct ~us ~kind ~slot t0 =
+(* The stall path.  Clocks are read only once the ring looked empty or
+   full, so a smooth pipeline reads none, and nothing here allocates:
+   the stall start lives in the role's [clocks], and the spin loops are
+   top-level functions rather than closures over the queue and item. *)
+let stall_done ~us acct ~kind ~slot =
+  let d = now () -. acct.clk.stall_t0 in
+  if kind = k_pop_stall then acct.clk.starved <- acct.clk.starved +. d
+  else acct.clk.blocked <- acct.clk.blocked +. d;
   match acct.prb with
   | None -> ()
   | Some p ->
-    Obs.Probe.record p ~kind ~time:(us ())
-      ~a:(int_of_float ((now () -. t0) *. 1e6))
-      ~b:slot
+    Obs.Probe.record p ~kind ~time:(us ()) ~a:(int_of_float (d *. 1e6)) ~b:slot
 
+let rec pop_stalled ~us acct ~slot q k =
+  match Spsc.try_pop q with
+  | x ->
+    stall_done ~us acct ~kind:k_pop_stall ~slot;
+    x
+  | exception Spsc.Empty ->
+    backoff k;
+    pop_stalled ~us acct ~slot q (k + 1)
+  | exception Spsc.Closed ->
+    stall_done ~us acct ~kind:k_pop_stall ~slot;
+    raise_notrace Spsc.Closed
+
+(* @raise Spsc.Closed at the end of the stream. *)
 let pop_acct ~us ~slot q acct =
   match Spsc.try_pop q with
-  | `Item x -> Some x
-  | `Closed -> None
-  | `Empty ->
-    let t0 = now () in
-    let rec spin k =
-      match Spsc.try_pop q with
-      | `Item x ->
-        acct.starved <- acct.starved +. (now () -. t0);
-        stall_probe acct ~us ~kind:k_pop_stall ~slot t0;
-        Some x
-      | `Closed ->
-        acct.starved <- acct.starved +. (now () -. t0);
-        stall_probe acct ~us ~kind:k_pop_stall ~slot t0;
-        None
-      | `Empty ->
-        backoff k;
-        spin (k + 1)
-    in
-    spin 0
+  | x -> x
+  | exception Spsc.Empty ->
+    acct.clk.stall_t0 <- now ();
+    pop_stalled ~us acct ~slot q 0
+
+let rec push_stalled ~us acct ~slot q x k =
+  if Spsc.try_push q x then stall_done ~us acct ~kind:k_push_stall ~slot
+  else begin
+    backoff k;
+    push_stalled ~us acct ~slot q x (k + 1)
+  end
 
 let push_acct ~us ~slot q acct x =
   if not (Spsc.try_push q x) then begin
-    let t0 = now () in
-    let rec spin k =
-      if Spsc.try_push q x then begin
-        acct.blocked <- acct.blocked +. (now () -. t0);
-        stall_probe acct ~us ~kind:k_push_stall ~slot t0
-      end
-      else begin
-        backoff k;
-        spin (k + 1)
-      end
-    in
-    spin 0
+    acct.clk.stall_t0 <- now ();
+    push_stalled ~us acct ~slot q x 0
   end
 
 let seq_result staged =
@@ -161,6 +171,10 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
         in
         let t0 = ref (now ()) in
         let us () = int_of_float ((now () -. !t0) *. 1e6) in
+        (* Per-task clocks are read only when telemetry wants them; with
+           both switches off a role's busy time is derived once, from its
+           wall clock, in [run_role]. *)
+        let timed = events || probe in
         let buf = Buffer.create 4096 in
         let squashes = ref 0 and violations = ref 0 in
         let error = Atomic.make None in
@@ -168,30 +182,45 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
            builds its own and registers them for poisoning here. *)
         let poison_hooks = ref [] in
         let poison_all () = List.iter (fun f -> f ()) !poison_hooks in
-        let guard f () =
-          try f () with
-          | Spsc.Poisoned -> ()
-          | e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set error None (Some (e, bt)));
-            poison_all ()
+        (* Every event is built under [if events], so a run without events
+           neither allocates the record nor reads the clock for it. *)
+        let span_begin acct ~task ~core ~phase ~iteration =
+          if timed then begin
+            if events then
+              acct.evs <-
+                Obs.Event.Task_start { time = us (); task; core; phase; iteration; work = 0 }
+                :: acct.evs;
+            acct.clk.span_t0 <- now ()
+          end
         in
-        let ev acct e = if events then acct.evs <- e :: acct.evs in
-        let task_span acct ~task ~core ~phase ~iteration body =
-          ev acct (Obs.Event.Task_start { time = us (); task; core; phase; iteration; work = 0 });
-          let tb = now () in
-          let v = body () in
-          let t1 = now () in
-          acct.busy <- acct.busy +. (t1 -. tb);
+        let span_end acct ~task ~core ~iteration =
           acct.items <- acct.items + 1;
-          (match acct.prb with
-          | None -> ()
-          | Some p ->
-            Obs.Probe.record p ~kind:k_stage ~time:(us ())
-              ~a:(int_of_float ((t1 -. tb) *. 1e6))
-              ~b:iteration);
-          ev acct (Obs.Event.Task_finish { time = us (); task; core });
-          v
+          if timed then begin
+            let d = now () -. acct.clk.span_t0 in
+            acct.clk.busy <- acct.clk.busy +. d;
+            (match acct.prb with
+            | None -> ()
+            | Some p ->
+              Obs.Probe.record p ~kind:k_stage ~time:(us ())
+                ~a:(int_of_float (d *. 1e6))
+                ~b:iteration);
+            if events then acct.evs <- Obs.Event.Task_finish { time = us (); task; core } :: acct.evs
+          end
+        in
+        let commit_ev acct i =
+          if events then acct.evs <- Obs.Event.Iter_commit { time = us (); iteration = i } :: acct.evs
+        in
+        let push_ev acct queue slot q task =
+          if events then
+            acct.evs <-
+              Obs.Event.Queue_push { time = us (); queue; slot; occupancy = Spsc.length q; task }
+              :: acct.evs
+        in
+        let pop_ev acct queue slot q task =
+          if events then
+            acct.evs <-
+              Obs.Event.Queue_pop { time = us (); queue; slot; occupancy = Spsc.length q; task }
+              :: acct.evs
         in
         (* Queue stats are harvested through closures because each
            Staged case builds queues at its own element type. *)
@@ -218,14 +247,12 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               qs;
           qs
         in
-        let push_ev acct queue slot q task =
-          ev acct
-            (Obs.Event.Queue_push { time = us (); queue; slot; occupancy = Spsc.length q; task })
-        in
-        let pop_ev acct queue slot q task =
-          ev acct
-            (Obs.Event.Queue_pop { time = us (); queue; slot; occupancy = Spsc.length q; task })
-        in
+        (* Role [k] runs on accts.(k): A, the B replicas (or the fused B+C
+           role at two domains), C.  The per-item loops call only known
+           functions, never a [(fun () -> ...)] body (without flambda
+           each would be a closure allocated per item), so with telemetry
+           off a Pure iteration allocates nothing in the runtime but the
+           tuple each queue hop carries. *)
         let roles =
           match staged with
           | Staged.Pure s ->
@@ -234,30 +261,34 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
             let role_a () =
               let acct = accts.(0) in
               for i = 0 to n - 1 do
-                let item =
-                  task_span acct ~task:(3 * i) ~core:0 ~phase:'A' ~iteration:i (fun () ->
-                      s.Staged.produce i)
-                in
+                span_begin acct ~task:(3 * i) ~core:0 ~phase:'A' ~iteration:i;
+                let item = s.Staged.produce i in
+                span_end acct ~task:(3 * i) ~core:0 ~iteration:i;
                 push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct (i, item);
                 push_ev acct Obs.Event.In_queue (i mod r) a2b.(i mod r) (3 * i)
               done;
               Array.iter Spsc.close a2b
             in
             let transform acct k i item =
-              task_span acct ~task:((3 * i) + 1) ~core:(k + 1) ~phase:'B' ~iteration:i
-                (fun () -> s.Staged.transform item)
+              let task = (3 * i) + 1 and core = k + 1 in
+              span_begin acct ~task ~core ~phase:'B' ~iteration:i;
+              let res = s.Staged.transform item in
+              span_end acct ~task ~core ~iteration:i;
+              res
             in
             let consume acct i res =
-              task_span acct ~task:((3 * i) + 2) ~core:(r + 1) ~phase:'C' ~iteration:i
-                (fun () -> s.Staged.consume buf i res);
-              ev acct (Obs.Event.Iter_commit { time = us (); iteration = i })
+              let task = (3 * i) + 2 and core = r + 1 in
+              span_begin acct ~task ~core ~phase:'C' ~iteration:i;
+              s.Staged.consume buf i res;
+              span_end acct ~task ~core ~iteration:i;
+              commit_ev acct i
             in
             let role_b k () =
               let acct = accts.(k + 1) in
               let rec loop () =
                 match pop_acct ~us ~slot:k a2b.(k) acct with
-                | None -> Spsc.close b2c.(k)
-                | Some (i, item) ->
+                | exception Spsc.Closed -> Spsc.close b2c.(k)
+                | i, item ->
                   pop_ev acct Obs.Event.In_queue k a2b.(k) (3 * i);
                   let res = transform acct k i item in
                   push_acct ~us ~slot:k b2c.(k) acct (i, res);
@@ -270,8 +301,8 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               let acct = accts.(r + 1) in
               for i = 0 to n - 1 do
                 match pop_acct ~us ~slot:(i mod r) b2c.(i mod r) acct with
-                | None -> failwith "Runtime.Exec: result stream ended early"
-                | Some (j, res) ->
+                | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
+                | j, res ->
                   if j <> i then failwith "Runtime.Exec: out-of-order result";
                   pop_ev acct Obs.Event.Out_queue (i mod r) b2c.(i mod r) ((3 * i) + 1);
                   consume acct i res
@@ -282,10 +313,10 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               let acct_b = accts.(1) and acct_c = accts.(2) in
               let rec loop i =
                 match pop_acct ~us ~slot:0 a2b.(0) acct_b with
-                | None ->
+                | exception Spsc.Closed ->
                   if i <> n then failwith "Runtime.Exec: item stream ended early";
                   s.Staged.finish buf
-                | Some (j, item) ->
+                | j, item ->
                   if j <> i then failwith "Runtime.Exec: out-of-order item";
                   pop_ev acct_b Obs.Event.In_queue 0 a2b.(0) (3 * i);
                   let res = transform acct_b 0 i item in
@@ -318,10 +349,9 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
             let role_a () =
               let acct = accts.(0) in
               for i = 0 to n - 1 do
-                let item =
-                  task_span acct ~task:(3 * i) ~core:0 ~phase:'A' ~iteration:i (fun () ->
-                      s.Staged.sp_produce i)
-                in
+                span_begin acct ~task:(3 * i) ~core:0 ~phase:'A' ~iteration:i;
+                let item = s.Staged.sp_produce i in
+                span_end acct ~task:(3 * i) ~core:0 ~iteration:i;
                 (* Versions open in logical order before dispatch, so a
                    replica's speculative reads can forward from every
                    earlier in-flight iteration. *)
@@ -332,21 +362,20 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               Array.iter Spsc.close a2b
             in
             let exec_spec acct k i item =
-              task_span acct ~task:((3 * i) + 1) ~core:(k + 1) ~phase:'B' ~iteration:i
-                (fun () ->
-                  let reads = ref [] in
-                  let read loc =
-                    let v =
-                      locked (fun () ->
-                          match VM.read vm ~task:i ~loc with Some v -> v | None -> 0)
-                    in
-                    reads := (loc, v) :: !reads;
-                    v
-                  in
-                  let writes, res = s.Staged.sp_exec ~read item in
-                  locked (fun () ->
-                      List.iter (fun (loc, v) -> VM.write vm ~task:i ~loc v) writes);
-                  (!reads, writes, res))
+              let task = (3 * i) + 1 and core = k + 1 in
+              span_begin acct ~task ~core ~phase:'B' ~iteration:i;
+              let reads = ref [] in
+              let read loc =
+                let v =
+                  locked (fun () -> match VM.read vm ~task:i ~loc with Some v -> v | None -> 0)
+                in
+                reads := (loc, v) :: !reads;
+                v
+              in
+              let writes, res = s.Staged.sp_exec ~read item in
+              locked (fun () -> List.iter (fun (loc, v) -> VM.write vm ~task:i ~loc v) writes);
+              span_end acct ~task ~core ~iteration:i;
+              (!reads, writes, res)
             in
             (* Commit-time validation: every value iteration [i] read
                must equal the committed value now that all earlier
@@ -370,20 +399,24 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                 if not stale then (writes, res)
                 else begin
                   incr squashes;
-                  ev acct
-                    (Obs.Event.Task_squash
-                       { time = us (); task = (3 * i) + 1; core = r + 1; elapsed = 0 });
+                  if events then
+                    acct.evs <-
+                      Obs.Event.Task_squash
+                        { time = us (); task = (3 * i) + 1; core = r + 1; elapsed = 0 }
+                      :: acct.evs;
                   let read loc = locked (fun () -> committed loc) in
-                  let tb = now () in
+                  let tb = if timed then now () else 0. in
                   let writes', res' = s.Staged.sp_exec ~read item in
-                  let t1 = now () in
-                  acct.busy <- acct.busy +. (t1 -. tb);
-                  (match acct.prb with
-                  | None -> ()
-                  | Some p ->
-                    Obs.Probe.record p ~kind:k_squash ~time:(us ())
-                      ~a:(int_of_float ((t1 -. tb) *. 1e6))
-                      ~b:i);
+                  if timed then begin
+                    let d = now () -. tb in
+                    acct.clk.busy <- acct.clk.busy +. d;
+                    match acct.prb with
+                    | None -> ()
+                    | Some p ->
+                      Obs.Probe.record p ~kind:k_squash ~time:(us ())
+                        ~a:(int_of_float (d *. 1e6))
+                        ~b:i
+                  end;
                   locked (fun () ->
                       List.iter
                         (fun (loc, _) ->
@@ -399,16 +432,18 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                     VM.commit vm ~task:i)
               in
               violations := !violations + List.length viols;
-              task_span acct ~task:((3 * i) + 2) ~core:(r + 1) ~phase:'C' ~iteration:i
-                (fun () -> s.Staged.sp_consume buf i res);
-              ev acct (Obs.Event.Iter_commit { time = us (); iteration = i })
+              let task = (3 * i) + 2 and core = r + 1 in
+              span_begin acct ~task ~core ~phase:'C' ~iteration:i;
+              s.Staged.sp_consume buf i res;
+              span_end acct ~task ~core ~iteration:i;
+              commit_ev acct i
             in
             let role_b k () =
               let acct = accts.(k + 1) in
               let rec loop () =
                 match pop_acct ~us ~slot:k a2b.(k) acct with
-                | None -> Spsc.close b2c.(k)
-                | Some (i, item) ->
+                | exception Spsc.Closed -> Spsc.close b2c.(k)
+                | i, item ->
                   pop_ev acct Obs.Event.In_queue k a2b.(k) (3 * i);
                   let payload = exec_spec acct k i item in
                   push_acct ~us ~slot:k b2c.(k) acct (i, item, payload);
@@ -421,8 +456,8 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               let acct = accts.(r + 1) in
               for i = 0 to n - 1 do
                 match pop_acct ~us ~slot:(i mod r) b2c.(i mod r) acct with
-                | None -> failwith "Runtime.Exec: result stream ended early"
-                | Some (j, item, payload) ->
+                | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
+                | j, item, payload ->
                   if j <> i then failwith "Runtime.Exec: out-of-order result";
                   pop_ev acct Obs.Event.Out_queue (i mod r) b2c.(i mod r) ((3 * i) + 1);
                   commit_one acct i item payload
@@ -433,10 +468,10 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               let acct_b = accts.(1) and acct_c = accts.(2) in
               let rec loop i =
                 match pop_acct ~us ~slot:0 a2b.(0) acct_b with
-                | None ->
+                | exception Spsc.Closed ->
                   if i <> n then failwith "Runtime.Exec: item stream ended early";
                   s.Staged.sp_finish ~read:(fun loc -> locked (fun () -> committed loc)) buf
-                | Some (j, item) ->
+                | j, item ->
                   if j <> i then failwith "Runtime.Exec: out-of-order item";
                   pop_ev acct_b Obs.Event.In_queue 0 a2b.(0) (3 * i);
                   let payload = exec_spec acct_b 0 i item in
@@ -448,10 +483,24 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
             if fused then [| role_a; role_bc |]
             else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
         in
+        (* Without telemetry, a role's busy time is its own wall clock
+           minus its stalls (the fused B+C role reports it on the B row).
+           A failing role poisons every queue so the others unwind. *)
+        let run_role k =
+          let c = accts.(k).clk in
+          let w0 = now () in
+          match roles.(k) () with
+          | () -> if not timed then c.busy <- now () -. w0 -. c.starved -. c.blocked
+          | exception Spsc.Poisoned -> ()
+          | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set error None (Some (e, bt)));
+            poison_all ()
+        in
         let nroles = Array.length roles in
         t0 := now ();
         let tstart = now () in
-        Parallel.Pool.parallel_for p ~n:nroles (fun k -> guard roles.(k) ());
+        Parallel.Pool.parallel_for p ~n:nroles run_role;
         let seconds = now () -. tstart in
         (match Atomic.get error with
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
@@ -463,9 +512,9 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               {
                 rs_role = role_name k;
                 rs_items = a.items;
-                rs_busy = a.busy;
-                rs_starved = a.starved;
-                rs_blocked = a.blocked;
+                rs_busy = a.clk.busy;
+                rs_starved = a.clk.starved;
+                rs_blocked = a.clk.blocked;
               })
             accts
         in

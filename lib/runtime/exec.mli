@@ -27,10 +27,26 @@
     correctness, and the squash count is reported in {!stats} rather
     than in the output bytes (which timing must not influence). *)
 
+(** Per-role time accounting.  Stall times are measured on the slow
+    path only (a pop that found the ring empty, a push that found it
+    full), so a smooth pipeline reads no clock for them.  How [rs_busy]
+    is measured depends on the telemetry switches:
+
+    - with [~events] or [~probe] on, it is the sum of the role's
+      per-item stage-body spans (plus squash re-execution on C), read
+      from clocks around every body;
+    - with both off (the default), no per-item clock is read: it is the
+      role's own wall clock minus [rs_starved] and [rs_blocked], so it
+      also covers queue-op and dispatch overhead.  At two domains B and
+      C share one role, whose whole busy time is reported on the B row;
+      the C row's [rs_busy] is then [0.].
+
+    Either way busy, starved and blocked are disjoint parts of the
+    role's run, so their sum never exceeds [stats.seconds]. *)
 type role_stats = {
   rs_role : string;  (** "A", "B0".."Bn", "C" *)
   rs_items : int;  (** items this role processed *)
-  rs_busy : float;  (** seconds spent in stage bodies *)
+  rs_busy : float;  (** seconds not stalled on a queue; see above *)
   rs_starved : float;  (** seconds blocked popping an empty in-queue *)
   rs_blocked : float;  (** seconds blocked pushing a full out-queue *)
 }
@@ -105,6 +121,12 @@ val run :
     {!result.telemetry} after the roles join.  Probing never touches
     the output bytes — it only reads clocks and writes preallocated
     rings — so output stays byte-identical to a probe-off run.
+
+    Telemetry is zero-cost when off: with [events] and [probe] both
+    off, no event is built, no per-item clock is read, and on a Pure
+    pipeline the runtime allocates nothing per item beyond the stage
+    bodies' own allocation and the [(index, item)] pair (3 words) each
+    queue hop carries.
     [?span_registry] receives per-role busy/starved/blocked aggregates
     under ["real/<name>/<role>"].  If a stage body raises, all queues
     are poisoned, every role unwinds, and the first exception is

@@ -3,11 +3,14 @@
 
     The layout follows {!Simcore.Ring}: a flat circular buffer indexed
     by monotonically increasing head/tail counters masked to a
-    power-of-two capacity.  Head (consumer cursor) and tail (producer
-    cursor) are separately allocated atomics, and each side keeps a
-    cache-padded snapshot of the other's cursor ([int array] cells
-    spaced a cache line apart), so the fast path of both push and pop
-    touches no cache line the other domain writes: the producer
+    power-of-two capacity.  Cells hold items unboxed (an [Obj.t] array,
+    no [Some] per push).  Head (consumer cursor) and tail (producer
+    cursor) are atomics padded to a cache line each — separately
+    allocated atomics alone would sit side by side in the heap — and
+    each side keeps a cache-padded snapshot of the other's cursor
+    ([int array] cells spaced a cache line apart), so the fast path of
+    both push and pop touches no cache line the other domain writes
+    beyond the cell itself: the producer
     re-reads the real head only when its snapshot says the ring looks
     full, the consumer re-reads the real tail only when its snapshot
     says the ring looks empty (the classic SPSC cursor-caching design).
@@ -19,13 +22,23 @@
     argument on head covers cell reuse.
 
     Exactly one domain may push and exactly one may pop; nothing checks
-    this (that is what makes the queue cheap). *)
+    this (that is what makes the queue cheap).  No operation allocates:
+    a push/pop round trip of an immediate costs zero minor words, and
+    pop reports an empty or finished ring by raising a constant
+    exception ([raise_notrace]) instead of returning a boxed variant. *)
 
 type 'a t
 
 exception Poisoned
 (** Raised by blocking operations on a queue another role poisoned —
     the pipeline is being torn down after an error. *)
+
+exception Empty
+(** Raised by {!try_pop} when no item is available yet. *)
+
+exception Closed
+(** Raised by {!try_pop} and {!pop} once the queue is both closed and
+    drained: the end of the stream. *)
 
 val create : ?capacity:int -> ?instrument:bool -> unit -> 'a t
 (** Capacity is rounded up to a power of two; default 64.  With
@@ -53,13 +66,16 @@ val push : 'a t -> 'a -> unit
 (** Spin (with [Domain.cpu_relax]) until space is available.
     @raise Poisoned if the queue is poisoned while waiting. *)
 
-val try_pop : 'a t -> [ `Item of 'a | `Empty | `Closed ]
-(** [`Closed] only once the queue is both closed and drained.
+val try_pop : 'a t -> 'a
+(** The next item.
+    @raise Empty when the ring holds no item yet.
+    @raise Closed once the queue is both closed and drained.
     @raise Poisoned on a poisoned queue. *)
 
-val pop : 'a t -> 'a option
-(** Spin until an item arrives; [None] once the queue is closed and
-    drained.  @raise Poisoned if the queue is poisoned while waiting. *)
+val pop : 'a t -> 'a
+(** Spin until an item arrives.
+    @raise Closed once the queue is closed and drained.
+    @raise Poisoned if the queue is poisoned while waiting. *)
 
 val close : 'a t -> unit
 (** Producer signals end of stream.  Items already in the ring remain

@@ -225,6 +225,21 @@ if ! tail -n 1 BENCH_history.jsonl | grep -q '"real"'; then
   exit 1
 fi
 
+# Runtime smoke on the benchmark's real-fine workload: 15 synthetic
+# pipelines (the 11 registry PDGs plus seeded random PDGs) run on real
+# domains, each output byte-checked against an independent reference.
+# The result line must report every check correct and none failed.
+fine_out="$(python3 perfbench/run.py --workload real-fine --seed 1 --seconds 3 --trace 0 | tail -n 1)" || {
+  echo "check.sh: real-fine runtime smoke did not run to completion" >&2
+  exit 1
+}
+if ! python3 -c 'import json,sys
+d = json.loads(sys.argv[1])
+assert d["correct"] is True and d["failed"] == 0, d' "$fine_out"; then
+  echo "check.sh: real-fine runtime smoke failed: $fine_out" >&2
+  exit 1
+fi
+
 # Equality-check self-test: with a deliberately corrupted parallel
 # output the byte-equality check must fail, proving validate-real can
 # actually detect a wrong answer (exit 1; no history written).
@@ -314,5 +329,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + real-fine runtime smoke + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -31,9 +31,10 @@ let spsc_matches_model () =
       end
       else begin
         match Spsc.try_pop q with
-        | `Item x -> Alcotest.(check int) "FIFO order" (Queue.pop model) x
-        | `Empty -> Alcotest.(check bool) "empty iff model empty" true (Queue.is_empty model)
-        | `Closed -> Alcotest.fail "never closed in this schedule"
+        | x -> Alcotest.(check int) "FIFO order" (Queue.pop model) x
+        | exception Spsc.Empty ->
+          Alcotest.(check bool) "empty iff model empty" true (Queue.is_empty model)
+        | exception Spsc.Closed -> Alcotest.fail "never closed in this schedule"
       end;
       Alcotest.(check int) "length tracks the model" (Queue.length model) (Spsc.length q)
     done
@@ -45,12 +46,12 @@ let spsc_close_semantics () =
   assert (Spsc.try_push q 2);
   Spsc.close q;
   (* Close stops the stream after the buffered items drain. *)
-  Alcotest.(check (option int)) "drains first item" (Some 1) (Spsc.pop q);
-  Alcotest.(check (option int)) "drains second item" (Some 2) (Spsc.pop q);
-  Alcotest.(check (option int)) "then end of stream" None (Spsc.pop q);
+  Alcotest.(check int) "drains first item" 1 (Spsc.pop q);
+  Alcotest.(check int) "drains second item" 2 (Spsc.pop q);
+  Alcotest.check_raises "then end of stream" Spsc.Closed (fun () -> ignore (Spsc.pop q));
   match Spsc.try_pop q with
-  | `Closed -> ()
-  | _ -> Alcotest.fail "try_pop after drain must report `Closed"
+  | exception Spsc.Closed -> ()
+  | _ -> Alcotest.fail "try_pop after drain must raise Closed"
 
 let spsc_poison_raises () =
   let q = Spsc.create () in
@@ -77,17 +78,39 @@ let spsc_two_domain_stress () =
   let ok = ref true in
   let rec drain () =
     match Spsc.pop q with
-    | Some x ->
+    | x ->
       if x <> !expected then ok := false;
       incr expected;
       incr received;
       drain ()
-    | None -> ()
+    | exception Spsc.Closed -> ()
   in
   drain ();
   Domain.join producer;
   Alcotest.(check bool) "in order" true !ok;
   Alcotest.(check int) "all items received exactly once" n !received
+
+(* The queue's whole API is allocation-free: push/pop round trips of an
+   immediate, and polls of an empty ring, cost zero minor words. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let spsc_round_trips_allocation_free () =
+  let q = Spsc.create ~capacity:64 () in
+  ignore (minor_words_of (fun () -> ()));
+  let words =
+    minor_words_of (fun () ->
+        for i = 0 to 9_999 do
+          Spsc.push q i;
+          if Spsc.pop q <> i then failwith "round trip lost its item";
+          match Spsc.try_pop q with
+          | _ -> failwith "a drained ring popped an item"
+          | exception Spsc.Empty -> ()
+        done)
+  in
+  Alcotest.(check (float 0.)) "10k round trips allocate nothing" 0. words
 
 (* ------------------------------------------------------------------ *)
 (* Executor: every staged benchmark, byte-identical at every count     *)
@@ -165,6 +188,51 @@ let stage_exception_propagates () =
   match Exec.run ~threads:4 ~name:"boom" staged with
   | exception Failure m -> Alcotest.(check string) "original exception" "boom" m
   | _ -> Alcotest.fail "stage exception must re-raise on the caller"
+
+(* With telemetry off, the executor's only per-iteration allocation is
+   the [(index, item)] pair (3 words) each queue hop carries: one hop at
+   two domains (A -> fused B+C), two at three (A -> B -> C).  A 1-entry
+   ring stalls on nearly every item, so a stall path that allocated
+   anything would blow the bound.  Words are read from the pool's
+   per-worker counters, which cover exactly the role bodies. *)
+let noop_staged n =
+  Staged.Pure
+    {
+      Staged.iterations = n;
+      produce = (fun i -> i);
+      transform = (fun x -> x);
+      consume = (fun _ _ _ -> ());
+      finish = ignore;
+    }
+
+let exec_hops_allocate_one_pair () =
+  let n = 10_000 in
+  Parallel.Pool.with_pool ~domains:3 (fun pool ->
+      let words () =
+        Array.fold_left ( +. ) 0. (Parallel.Pool.stats pool).Parallel.Pool.stat_minor_words
+      in
+      List.iter
+        (fun (threads, hops) ->
+          List.iter
+            (fun queue_capacity ->
+              let w0 = words () in
+              let r = Exec.run ~pool ~queue_capacity ~threads ~name:"noop" (noop_staged n) in
+              let per_hop = (words () -. w0) /. float_of_int (n * hops) in
+              (* A few hundred words per run cover the role closures. *)
+              Alcotest.(check bool)
+                (Printf.sprintf "%d threads, capacity %d: %.3f words per hop <= 3" threads
+                   queue_capacity per_hop)
+                true
+                (per_hop <= 3. +. (512. /. float_of_int (n * hops)));
+              if queue_capacity = 1 then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%d threads, capacity 1: the run stalled" threads)
+                  true
+                  (Array.exists
+                     (fun rs -> rs.Exec.rs_starved +. rs.Exec.rs_blocked > 0.)
+                     r.Exec.stats.Exec.roles))
+            [ 1; 64 ])
+        [ (2, 1); (3, 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* Speculation: conflicts squash, output stays sequential              *)
@@ -302,28 +370,41 @@ let sim_vs_real_ordering () =
 (* ------------------------------------------------------------------ *)
 (* Telemetry probes                                                    *)
 
-(* The observability contract: turning probes on must not change a
-   single output byte, at any thread count, including the speculation
-   path (175.vpr squashes and re-executes under probes). *)
+(* The observability contract: the [events] and [probe] switches change
+   only what is recorded, never a single output byte, at any thread
+   count, including the speculation path (175.vpr squashes and
+   re-executes under probes).  Whichever way busy time is measured
+   (summed stage bodies when telemetry is on, wall clock minus stalls
+   when off), a role's busy, starved and blocked seconds are disjoint
+   parts of its run, so they never add up to more than the run. *)
 let probes_do_not_change_output () =
   List.iter
     (fun name ->
       let seq = Staged.run_seq (Runtime.Real_bench.staged name) in
       List.iter
         (fun threads ->
-          let r =
-            Exec.run ~threads ~name ~probe:true (Runtime.Real_bench.staged name)
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s byte-identical under probes at %d threads" name
-               threads)
-            true
-            (r.Exec.output = seq);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s telemetry present iff parallel (%d threads)" name
-               threads)
-            (threads > 1)
-            (r.Exec.telemetry <> None))
+          List.iter
+            (fun (events, probe) ->
+              let r = Exec.run ~threads ~name ~events ~probe (Runtime.Real_bench.staged name) in
+              let label =
+                Printf.sprintf "%s at %d threads, events=%b probe=%b" name threads events probe
+              in
+              Alcotest.(check bool) (label ^ ": byte-identical") true (r.Exec.output = seq);
+              Alcotest.(check bool)
+                (label ^ ": telemetry present iff probed and parallel")
+                (probe && threads > 1)
+                (r.Exec.telemetry <> None);
+              let st = r.Exec.stats in
+              Array.iter
+                (fun rs ->
+                  let sum = rs.Exec.rs_busy +. rs.Exec.rs_starved +. rs.Exec.rs_blocked in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: role %s busy+starved+blocked %.6fs <= %.6fs" label
+                       rs.Exec.rs_role sum st.Exec.seconds)
+                    true
+                    (rs.Exec.rs_busy >= 0. && sum <= st.Exec.seconds +. 1e-3))
+                st.Exec.roles)
+            [ (false, false); (true, false); (false, true); (true, true) ])
         [ 1; 2; 3; 4 ])
     [ "164.gzip"; "175.vpr" ]
 
@@ -388,6 +469,8 @@ let () =
           Alcotest.test_case "close semantics" `Quick spsc_close_semantics;
           Alcotest.test_case "poison raises" `Quick spsc_poison_raises;
           Alcotest.test_case "two-domain 1M-item stress" `Quick spsc_two_domain_stress;
+          Alcotest.test_case "round trips allocation-free" `Quick
+            spsc_round_trips_allocation_free;
         ] );
       ( "exec",
         [
@@ -395,6 +478,8 @@ let () =
           Alcotest.test_case "role stats cover all items" `Quick role_stats_cover_all_items;
           Alcotest.test_case "events well-formed" `Quick events_well_formed;
           Alcotest.test_case "stage exception propagates" `Quick stage_exception_propagates;
+          Alcotest.test_case "one pair allocated per queue hop" `Quick
+            exec_hops_allocate_one_pair;
         ] );
       ( "speculation",
         [
