@@ -717,7 +717,6 @@ let profile_real_cmd =
         let want_trace = trace_file trace in
         let r =
           Runtime.Exec.run ~threads ~name:bname ~probe:true
-            ~events:(want_trace <> None)
             (Runtime.Real_bench.staged ~scale bname)
         in
         let st = r.Runtime.Exec.stats in
@@ -728,7 +727,7 @@ let profile_real_cmd =
         | None -> Format.printf "no telemetry (sequential run)@."
         | Some tl ->
           Format.printf "@[<v>%a@]@." (Runtime.Exec.pp_telemetry st) tl;
-          match dump with
+          (match dump with
           | None -> ()
           | Some file ->
             Out_channel.with_open_bin file (fun oc ->
@@ -736,13 +735,12 @@ let profile_real_cmd =
                   (Obs.Json.to_string
                      (Runtime.Exec.telemetry_to_json ~name:bname st tl)));
             Format.eprintf "probe dump written to %s@." file);
-        (match want_trace with
-        | None -> ()
-        | Some file ->
-          Obs.Trace_event.write_file ~process_name:("profile-real " ^ bname) file
-            r.Runtime.Exec.events;
-          Format.eprintf "trace: %d real events written to %s@."
-            (List.length r.Runtime.Exec.events) file);
+          match want_trace with
+          | None -> ()
+          | Some file ->
+            let events = Runtime.Exec.events tl in
+            Obs.Trace_event.write_file ~process_name:("profile-real " ^ bname) file events;
+            Format.eprintf "trace: %d real events written to %s@." (List.length events) file);
         (* Documented contract: 0 = probed output byte-identical to the
            sequential reference, 1 = mismatch (cmdliner reserves its own
            codes, so exit explicitly). *)

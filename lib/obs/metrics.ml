@@ -87,13 +87,3 @@ let snapshot t =
     snap_gauges = sorted_bindings t.gauges (fun g -> (g.g_value, g.g_high));
     snap_series = sorted_bindings t.series_tbl samples;
   }
-
-let pp ppf t =
-  let s = snapshot t in
-  List.iter (fun (n, v) -> Format.fprintf ppf "counter %s = %d@." n v) s.snap_counters;
-  List.iter
-    (fun (n, (v, h)) -> Format.fprintf ppf "gauge %s = %d (high water %d)@." n v h)
-    s.snap_gauges;
-  List.iter
-    (fun (n, pts) -> Format.fprintf ppf "series %s: %d samples@." n (List.length pts))
-    s.snap_series

@@ -65,5 +65,3 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 (** Name-sorted, so output is deterministic. *)
-
-val pp : Format.formatter -> t -> unit

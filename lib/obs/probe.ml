@@ -33,7 +33,6 @@ let record_opt t ~kind ~time ~a ~b =
 
 let count t = t.next
 let dropped t = if t.next > t.cap then t.next - t.cap else 0
-let clear t = t.next <- 0
 
 let entries t =
   let first = if t.next > t.cap then t.next - t.cap else 0 in
@@ -63,13 +62,3 @@ let merge probes =
         let c = compare x.e_domain y.e_domain in
         if c <> 0 then c else compare x.e_seq y.e_seq)
     all
-
-let drain_to decode sink probes =
-  List.fold_left
-    (fun n entry ->
-      match decode entry with
-      | None -> n
-      | Some ev ->
-          Sink.emit sink ev;
-          n + 1)
-    0 (merge probes)

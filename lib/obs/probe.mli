@@ -10,10 +10,10 @@
     {!dropped}.
 
     After the run — once every writing domain has been joined — the
-    rings are drained on one domain: {!entries} for a single probe,
+    rings are drained on one domain: {!entries} for a single probe, or
     {!merge} for a deterministic cross-domain interleaving ordered by
-    [(time, domain, seq)], or {!drain_to} to forward decoded records
-    into an {!Sink}.
+    [(time, domain, seq)].  What a record means is the writer's
+    business: [Runtime.Exec] decodes its rings into {!Event.t}s.
 
     The disabled path is {!record_opt} on [None]: one pattern match,
     no allocation, nothing written — so instrumented code can keep a
@@ -49,8 +49,6 @@ val count : t -> int
 val dropped : t -> int
 (** Records lost to ring wrap. *)
 
-val clear : t -> unit
-
 val entries : t -> entry list
 (** Retained records, oldest first. *)
 
@@ -58,8 +56,3 @@ val merge : t list -> entry list
 (** All retained records of all probes, sorted by
     [(e_time, e_domain, e_seq)] — deterministic for deterministic
     record contents, whatever the domains' real interleaving was. *)
-
-val drain_to : (entry -> Event.t option) -> Sink.t -> t list -> int
-(** [drain_to decode sink probes] feeds {!merge}'s entries through
-    [decode] into [sink] and returns the number of events emitted.
-    Entries decoding to [None] are skipped. *)

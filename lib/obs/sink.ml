@@ -12,20 +12,6 @@ let offset base inner =
   if (not inner.enabled) || base = 0 then inner
   else { enabled = true; emit = (fun e -> inner.emit (Event.shift base e)) }
 
-let tee a b =
-  match (a.enabled, b.enabled) with
-  | false, false -> null
-  | true, false -> a
-  | false, true -> b
-  | true, true ->
-    {
-      enabled = true;
-      emit =
-        (fun e ->
-          a.emit e;
-          b.emit e);
-    }
-
 type recorder = { mutable rev_events : Event.t list; mutable count : int }
 
 let recorder () = { rev_events = []; count = 0 }
@@ -38,7 +24,3 @@ let record r =
 let events r = List.rev r.rev_events
 
 let count r = r.count
-
-let clear r =
-  r.rev_events <- [];
-  r.count <- 0

@@ -10,9 +10,6 @@ type t
 val null : t
 (** Drops everything; [enabled null = false]. *)
 
-val make : (Event.t -> unit) -> t
-(** An enabled sink around an arbitrary consumer. *)
-
 val emit : t -> Event.t -> unit
 
 val enabled : t -> bool
@@ -23,9 +20,6 @@ val offset : int -> t -> t
 (** [offset base t] shifts every event by [base] time units before
     forwarding — used by [Sim.Pipeline.run] to rebase loop-local times to
     program time.  The null sink and a zero base pass through. *)
-
-val tee : t -> t -> t
-(** Forward to both sinks; degenerates to whichever side is enabled. *)
 
 (** In-memory recorder, the input of {!Trace_event.export}. *)
 type recorder
@@ -39,5 +33,3 @@ val events : recorder -> Event.t list
 (** Recorded events in emission order. *)
 
 val count : recorder -> int
-
-val clear : recorder -> unit

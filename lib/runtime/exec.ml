@@ -34,29 +34,34 @@ type role_probe = {
   rp_validate : Obs.Hist.t;
 }
 
+type rings = { loop : string; span_us : int; probes : Obs.Probe.t array }
+
 type telemetry = {
   tl_roles : role_probe array;
   tl_queues : queue_stat list;
   tl_dropped : int;
+  tl_rings : rings;
 }
 
-type result = {
-  output : string;
-  stats : stats;
-  events : Obs.Event.t list;
-  telemetry : telemetry option;
-}
+type result = { output : string; stats : stats; telemetry : telemetry option }
 
 let now = Unix.gettimeofday
 
-(* Probe record kinds: [a] is always a duration in microseconds, [b]
-   an iteration or queue slot.  Timestamps are microseconds since the
-   run's own origin, matching the event stream's clock. *)
+(* Probe record kinds.  Every record's time is microseconds since the
+   run's own origin, taken when the operation ended.  The timed kinds
+   carry a duration in [a] and an iteration (or, for stalls, a queue
+   slot) in [b]; the queue kinds carry the iteration in [a] and the
+   ring's occupancy after the operation in [b]; a commit carries its
+   iteration in [a].  DESIGN.md §12 tabulates which {!Obs.Event} each
+   kind decodes to. *)
 let k_stage = 0
 let k_push_stall = 1
 let k_pop_stall = 2
 let k_squash = 3
 let k_validate = 4
+let k_push = 5
+let k_pop = 6
+let k_commit = 7
 
 (* Per-role seconds.  An all-float record is stored flat, so updating
    a field stores an unboxed float and allocates nothing. *)
@@ -74,7 +79,6 @@ type clocks = {
 type acct = {
   mutable items : int;
   clk : clocks;
-  mutable evs : Obs.Event.t list;  (* newest first *)
   prb : Obs.Probe.t option;  (* written only by the owning role *)
 }
 
@@ -82,9 +86,23 @@ let make_acct ~prb () =
   {
     items = 0;
     clk = { busy = 0.; starved = 0.; blocked = 0.; span_t0 = 0.; stall_t0 = 0. };
-    evs = [];
     prb;
   }
+
+(* Role [k] of a layout whose C role is [c] (so [c - 1] B replicas,
+   one fused B at two domains).  A pushes into the in-queues and B into
+   the out-queues; B pops the in-queues and C the out-queues.  The
+   fused B+C role records its B half on B's ring and its C half on C's,
+   so the same mapping holds at every thread count. *)
+let push_queue k = if k = 0 then Obs.Event.In_queue else Obs.Event.Out_queue
+let pop_queue ~c k = if k = c then Obs.Event.Out_queue else Obs.Event.In_queue
+
+(* Upper bound on the records role [k] writes per item: A writes stage,
+   push-stall and push; a B replica pop-stall, pop, stage, push-stall
+   and push; C pop-stall, pop, validate, squash, stage and commit.  A
+   ring of [bound * items + 1] records (the one extra is the pop stall
+   that ends at end of stream) therefore never wraps. *)
+let records_per_item ~c k = if k = 0 then 3 else if k = c then 6 else 5
 
 (* Same bounded spin-then-sleep policy as {!Spsc.push}: on an
    oversubscribed machine a spinning role must yield its timeslice to
@@ -151,12 +169,62 @@ let seq_result staged =
         violations = 0;
         roles = [||];
       };
-    events = [];
     telemetry = None;
   }
 
-let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
-    ?span_registry ~threads ~name staged =
+(* Post-join drain of the rings into per-role histograms and per-queue
+   stats.  A push record's occupancy is read after the push, so its
+   maximum per (queue, slot) is the ring's high-water mark. *)
+let drain ~loop ~span_us ~r ~fused ~qcap ~role_name probes =
+  let row q = if q = Obs.Event.In_queue then 0 else 1 in
+  let high_water = Array.make_matrix 2 r 0 and pushes = Array.make_matrix 2 r 0 in
+  let role_probe k p =
+    let rp =
+      {
+        rp_role = role_name k;
+        rp_stage = Obs.Hist.create ();
+        rp_push_stall = Obs.Hist.create ();
+        rp_pop_stall = Obs.Hist.create ();
+        rp_squash = Obs.Hist.create ();
+        rp_validate = Obs.Hist.create ();
+      }
+    in
+    List.iter
+      (fun (e : Obs.Probe.entry) ->
+        let kind = e.e_kind in
+        if kind = k_push then begin
+          let q = row (push_queue k) and slot = e.e_a mod r in
+          high_water.(q).(slot) <- max high_water.(q).(slot) e.e_b;
+          pushes.(q).(slot) <- pushes.(q).(slot) + 1
+        end
+        else if kind = k_stage then Obs.Hist.add rp.rp_stage e.e_a
+        else if kind = k_push_stall then Obs.Hist.add rp.rp_push_stall e.e_a
+        else if kind = k_pop_stall then Obs.Hist.add rp.rp_pop_stall e.e_a
+        else if kind = k_squash then Obs.Hist.add rp.rp_squash e.e_a
+        else if kind = k_validate then Obs.Hist.add rp.rp_validate e.e_a)
+      (Obs.Probe.entries p);
+    rp
+  in
+  let tl_roles = Array.mapi role_probe probes in
+  let queues q =
+    List.init r (fun slot ->
+        {
+          qs_queue = q;
+          qs_slot = slot;
+          qs_capacity = qcap;
+          qs_high_water = high_water.(row q).(slot);
+          qs_pushes = pushes.(row q).(slot);
+        })
+  in
+  {
+    tl_roles;
+    tl_queues =
+      queues Obs.Event.In_queue @ (if fused then [] else queues Obs.Event.Out_queue);
+    tl_dropped = Array.fold_left (fun acc p -> acc + Obs.Probe.dropped p) 0 probes;
+    tl_rings = { loop; span_us; probes };
+  }
+
+let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~name staged =
   let go d p =
       begin
         let fused = d = 2 in
@@ -165,16 +233,21 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
         let accts =
           Array.init (r + 2) (fun k ->
               let prb =
-                if probe then Some (Obs.Probe.create ~domain:k ()) else None
+                if not probe then None
+                else
+                  let items = if k = 0 || k = r + 1 then n else (n + r - 1) / r in
+                  let capacity = (records_per_item ~c:(r + 1) k * items) + 1 in
+                  Some (Obs.Probe.create ~capacity ~domain:k ())
               in
               make_acct ~prb ())
         in
         let t0 = ref (now ()) in
         let us () = int_of_float ((now () -. !t0) *. 1e6) in
-        (* Per-task clocks are read only when telemetry wants them; with
-           both switches off a role's busy time is derived once, from its
-           wall clock, in [run_role]. *)
-        let timed = events || probe in
+        let record acct ~kind ~a ~b =
+          match acct.prb with
+          | None -> ()
+          | Some p -> Obs.Probe.record p ~kind ~time:(us ()) ~a ~b
+        in
         let buf = Buffer.create 4096 in
         let squashes = ref 0 and violations = ref 0 in
         let error = Atomic.make None in
@@ -182,106 +255,62 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
            builds its own and registers them for poisoning here. *)
         let poison_hooks = ref [] in
         let poison_all () = List.iter (fun f -> f ()) !poison_hooks in
-        (* Every event is built under [if events], so a run without events
-           neither allocates the record nor reads the clock for it. *)
-        let span_begin acct ~task ~core ~phase ~iteration =
-          if timed then begin
-            if events then
-              acct.evs <-
-                Obs.Event.Task_start { time = us (); task; core; phase; iteration; work = 0 }
-                :: acct.evs;
-            acct.clk.span_t0 <- now ()
-          end
-        in
-        let span_end acct ~task ~core ~iteration =
-          acct.items <- acct.items + 1;
-          if timed then begin
-            let d = now () -. acct.clk.span_t0 in
-            acct.clk.busy <- acct.clk.busy +. d;
-            (match acct.prb with
-            | None -> ()
-            | Some p ->
-              Obs.Probe.record p ~kind:k_stage ~time:(us ())
-                ~a:(int_of_float (d *. 1e6))
-                ~b:iteration);
-            if events then acct.evs <- Obs.Event.Task_finish { time = us (); task; core } :: acct.evs
-          end
-        in
-        let commit_ev acct i =
-          if events then acct.evs <- Obs.Event.Iter_commit { time = us (); iteration = i } :: acct.evs
-        in
-        let push_ev acct queue slot q task =
-          if events then
-            acct.evs <-
-              Obs.Event.Queue_push { time = us (); queue; slot; occupancy = Spsc.length q; task }
-              :: acct.evs
-        in
-        let pop_ev acct queue slot q task =
-          if events then
-            acct.evs <-
-              Obs.Event.Queue_pop { time = us (); queue; slot; occupancy = Spsc.length q; task }
-              :: acct.evs
-        in
-        (* Queue stats are harvested through closures because each
-           Staged case builds queues at its own element type. *)
-        let queue_stats : (unit -> queue_stat) list ref = ref [] in
-        let new_queues qkind k =
-          let qs =
-            Array.init k (fun _ ->
-                Spsc.create ~capacity:queue_capacity ~instrument:probe ())
-          in
+        let qcap = ref 0 in
+        let new_queues k =
+          let qs = Array.init k (fun _ -> Spsc.create ~capacity:queue_capacity ()) in
+          qcap := Spsc.capacity qs.(0);
           poison_hooks := (fun () -> Array.iter Spsc.poison qs) :: !poison_hooks;
-          if probe then
-            Array.iteri
-              (fun slot q ->
-                queue_stats :=
-                  (fun () ->
-                    {
-                      qs_queue = qkind;
-                      qs_slot = slot;
-                      qs_capacity = Spsc.capacity q;
-                      qs_high_water = Spsc.high_water q;
-                      qs_pushes = Spsc.push_count q;
-                    })
-                  :: !queue_stats)
-              qs;
           qs
         in
+        (* Per-task clocks are read only when probing; with it off a
+           role's busy time is derived once, from its wall clock, in
+           [run_role]. *)
+        let span_begin acct = if probe then acct.clk.span_t0 <- now () in
+        let span_end acct ~iteration =
+          acct.items <- acct.items + 1;
+          if probe then begin
+            let d = now () -. acct.clk.span_t0 in
+            acct.clk.busy <- acct.clk.busy +. d;
+            record acct ~kind:k_stage ~a:(int_of_float (d *. 1e6)) ~b:iteration
+          end
+        in
+        (* A queue record's occupancy is read after the operation, and
+           only when probing: [Spsc.length] reads both cursors. *)
+        let pushed acct q i = if probe then record acct ~kind:k_push ~a:i ~b:(Spsc.length q) in
+        let popped acct q i = if probe then record acct ~kind:k_pop ~a:i ~b:(Spsc.length q) in
         (* Role [k] runs on accts.(k): A, the B replicas (or the fused B+C
            role at two domains), C.  The per-item loops call only known
            functions, never a [(fun () -> ...)] body (without flambda
-           each would be a closure allocated per item), so with telemetry
+           each would be a closure allocated per item), so with probing
            off a Pure iteration allocates nothing in the runtime but the
            tuple each queue hop carries. *)
         let roles =
           match staged with
           | Staged.Pure s ->
-            let a2b = new_queues Obs.Event.In_queue r in
-            let b2c = if fused then [||] else new_queues Obs.Event.Out_queue r in
+            let a2b = new_queues r in
+            let b2c = if fused then [||] else new_queues r in
             let role_a () =
               let acct = accts.(0) in
               for i = 0 to n - 1 do
-                span_begin acct ~task:(3 * i) ~core:0 ~phase:'A' ~iteration:i;
+                span_begin acct;
                 let item = s.Staged.produce i in
-                span_end acct ~task:(3 * i) ~core:0 ~iteration:i;
+                span_end acct ~iteration:i;
                 push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct (i, item);
-                push_ev acct Obs.Event.In_queue (i mod r) a2b.(i mod r) (3 * i)
+                pushed acct a2b.(i mod r) i
               done;
               Array.iter Spsc.close a2b
             in
-            let transform acct k i item =
-              let task = (3 * i) + 1 and core = k + 1 in
-              span_begin acct ~task ~core ~phase:'B' ~iteration:i;
+            let transform acct i item =
+              span_begin acct;
               let res = s.Staged.transform item in
-              span_end acct ~task ~core ~iteration:i;
+              span_end acct ~iteration:i;
               res
             in
             let consume acct i res =
-              let task = (3 * i) + 2 and core = r + 1 in
-              span_begin acct ~task ~core ~phase:'C' ~iteration:i;
+              span_begin acct;
               s.Staged.consume buf i res;
-              span_end acct ~task ~core ~iteration:i;
-              commit_ev acct i
+              span_end acct ~iteration:i;
+              record acct ~kind:k_commit ~a:i ~b:0
             in
             let role_b k () =
               let acct = accts.(k + 1) in
@@ -289,10 +318,10 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                 match pop_acct ~us ~slot:k a2b.(k) acct with
                 | exception Spsc.Closed -> Spsc.close b2c.(k)
                 | i, item ->
-                  pop_ev acct Obs.Event.In_queue k a2b.(k) (3 * i);
-                  let res = transform acct k i item in
+                  popped acct a2b.(k) i;
+                  let res = transform acct i item in
                   push_acct ~us ~slot:k b2c.(k) acct (i, res);
-                  push_ev acct Obs.Event.Out_queue k b2c.(k) ((3 * i) + 1);
+                  pushed acct b2c.(k) i;
                   loop ()
               in
               loop ()
@@ -304,7 +333,7 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                 | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
                 | j, res ->
                   if j <> i then failwith "Runtime.Exec: out-of-order result";
-                  pop_ev acct Obs.Event.Out_queue (i mod r) b2c.(i mod r) ((3 * i) + 1);
+                  popped acct b2c.(i mod r) i;
                   consume acct i res
               done;
               s.Staged.finish buf
@@ -318,8 +347,8 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                   s.Staged.finish buf
                 | j, item ->
                   if j <> i then failwith "Runtime.Exec: out-of-order item";
-                  pop_ev acct_b Obs.Event.In_queue 0 a2b.(0) (3 * i);
-                  let res = transform acct_b 0 i item in
+                  popped acct_b a2b.(0) i;
+                  let res = transform acct_b i item in
                   consume acct_c i res;
                   loop (i + 1)
               in
@@ -328,8 +357,8 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
             if fused then [| role_a; role_bc |]
             else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
           | Staged.Spec s ->
-            let a2b = new_queues Obs.Event.In_queue r in
-            let b2c = if fused then [||] else new_queues Obs.Event.Out_queue r in
+            let a2b = new_queues r in
+            let b2c = if fused then [||] else new_queues r in
             let vm = VM.create () in
             let vml = Mutex.create () in
             List.iter (fun (loc, v) -> VM.set_committed vm ~loc v) s.Staged.sp_init;
@@ -349,21 +378,20 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
             let role_a () =
               let acct = accts.(0) in
               for i = 0 to n - 1 do
-                span_begin acct ~task:(3 * i) ~core:0 ~phase:'A' ~iteration:i;
+                span_begin acct;
                 let item = s.Staged.sp_produce i in
-                span_end acct ~task:(3 * i) ~core:0 ~iteration:i;
+                span_end acct ~iteration:i;
                 (* Versions open in logical order before dispatch, so a
                    replica's speculative reads can forward from every
                    earlier in-flight iteration. *)
                 locked (fun () -> VM.begin_task vm ~task:i);
                 push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct (i, item);
-                push_ev acct Obs.Event.In_queue (i mod r) a2b.(i mod r) (3 * i)
+                pushed acct a2b.(i mod r) i
               done;
               Array.iter Spsc.close a2b
             in
-            let exec_spec acct k i item =
-              let task = (3 * i) + 1 and core = k + 1 in
-              span_begin acct ~task ~core ~phase:'B' ~iteration:i;
+            let exec_spec acct i item =
+              span_begin acct;
               let reads = ref [] in
               let read loc =
                 let v =
@@ -374,7 +402,7 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               in
               let writes, res = s.Staged.sp_exec ~read item in
               locked (fun () -> List.iter (fun (loc, v) -> VM.write vm ~task:i ~loc v) writes);
-              span_end acct ~task ~core ~iteration:i;
+              span_end acct ~iteration:i;
               (!reads, writes, res)
             in
             (* Commit-time validation: every value iteration [i] read
@@ -385,37 +413,23 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                stale buffered writes (re-writing the committed value is
                a silent store), and only then commit. *)
             let commit_one acct i item (reads, writes, res) =
-              let tv = if acct.prb == None then 0. else now () in
+              let tv = if probe then now () else 0. in
               let stale =
                 locked (fun () -> List.exists (fun (loc, obs) -> committed loc <> obs) reads)
               in
-              (match acct.prb with
-              | None -> ()
-              | Some p ->
-                Obs.Probe.record p ~kind:k_validate ~time:(us ())
-                  ~a:(int_of_float ((now () -. tv) *. 1e6))
-                  ~b:i);
+              if probe then
+                record acct ~kind:k_validate ~a:(int_of_float ((now () -. tv) *. 1e6)) ~b:i;
               let writes, res =
                 if not stale then (writes, res)
                 else begin
                   incr squashes;
-                  if events then
-                    acct.evs <-
-                      Obs.Event.Task_squash
-                        { time = us (); task = (3 * i) + 1; core = r + 1; elapsed = 0 }
-                      :: acct.evs;
                   let read loc = locked (fun () -> committed loc) in
-                  let tb = if timed then now () else 0. in
+                  let tb = if probe then now () else 0. in
                   let writes', res' = s.Staged.sp_exec ~read item in
-                  if timed then begin
+                  if probe then begin
                     let d = now () -. tb in
                     acct.clk.busy <- acct.clk.busy +. d;
-                    match acct.prb with
-                    | None -> ()
-                    | Some p ->
-                      Obs.Probe.record p ~kind:k_squash ~time:(us ())
-                        ~a:(int_of_float (d *. 1e6))
-                        ~b:i
+                    record acct ~kind:k_squash ~a:(int_of_float (d *. 1e6)) ~b:i
                   end;
                   locked (fun () ->
                       List.iter
@@ -432,11 +446,10 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                     VM.commit vm ~task:i)
               in
               violations := !violations + List.length viols;
-              let task = (3 * i) + 2 and core = r + 1 in
-              span_begin acct ~task ~core ~phase:'C' ~iteration:i;
+              span_begin acct;
               s.Staged.sp_consume buf i res;
-              span_end acct ~task ~core ~iteration:i;
-              commit_ev acct i
+              span_end acct ~iteration:i;
+              record acct ~kind:k_commit ~a:i ~b:0
             in
             let role_b k () =
               let acct = accts.(k + 1) in
@@ -444,10 +457,10 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                 match pop_acct ~us ~slot:k a2b.(k) acct with
                 | exception Spsc.Closed -> Spsc.close b2c.(k)
                 | i, item ->
-                  pop_ev acct Obs.Event.In_queue k a2b.(k) (3 * i);
-                  let payload = exec_spec acct k i item in
+                  popped acct a2b.(k) i;
+                  let payload = exec_spec acct i item in
                   push_acct ~us ~slot:k b2c.(k) acct (i, item, payload);
-                  push_ev acct Obs.Event.Out_queue k b2c.(k) ((3 * i) + 1);
+                  pushed acct b2c.(k) i;
                   loop ()
               in
               loop ()
@@ -459,7 +472,7 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                 | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
                 | j, item, payload ->
                   if j <> i then failwith "Runtime.Exec: out-of-order result";
-                  pop_ev acct Obs.Event.Out_queue (i mod r) b2c.(i mod r) ((3 * i) + 1);
+                  popped acct b2c.(i mod r) i;
                   commit_one acct i item payload
               done;
               s.Staged.sp_finish ~read:(fun loc -> locked (fun () -> committed loc)) buf
@@ -473,8 +486,8 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
                   s.Staged.sp_finish ~read:(fun loc -> locked (fun () -> committed loc)) buf
                 | j, item ->
                   if j <> i then failwith "Runtime.Exec: out-of-order item";
-                  pop_ev acct_b Obs.Event.In_queue 0 a2b.(0) (3 * i);
-                  let payload = exec_spec acct_b 0 i item in
+                  popped acct_b a2b.(0) i;
+                  let payload = exec_spec acct_b i item in
                   commit_one acct_c i item payload;
                   loop (i + 1)
               in
@@ -483,14 +496,14 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
             if fused then [| role_a; role_bc |]
             else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
         in
-        (* Without telemetry, a role's busy time is its own wall clock
+        (* Without probing, a role's busy time is its own wall clock
            minus its stalls (the fused B+C role reports it on the B row).
            A failing role poisons every queue so the others unwind. *)
         let run_role k =
           let c = accts.(k).clk in
           let w0 = now () in
           match roles.(k) () with
-          | () -> if not timed then c.busy <- now () -. w0 -. c.starved -. c.blocked
+          | () -> if not probe then c.busy <- now () -. w0 -. c.starved -. c.blocked
           | exception Spsc.Poisoned -> ()
           | exception e ->
             let bt = Printexc.get_raw_backtrace () in
@@ -502,6 +515,7 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
         let tstart = now () in
         Parallel.Pool.parallel_for p ~n:nroles run_role;
         let seconds = now () -. tstart in
+        let span_us = us () in
         (match Atomic.get error with
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
         | None -> ());
@@ -526,61 +540,10 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
             role_rows);
         let telemetry =
           if not probe then None
-          else begin
-            let role_probe k (a : acct) =
-              let rp =
-                {
-                  rp_role = role_name k;
-                  rp_stage = Obs.Hist.create ();
-                  rp_push_stall = Obs.Hist.create ();
-                  rp_pop_stall = Obs.Hist.create ();
-                  rp_squash = Obs.Hist.create ();
-                  rp_validate = Obs.Hist.create ();
-                }
-              in
-              (match a.prb with
-              | None -> ()
-              | Some p ->
-                List.iter
-                  (fun (e : Obs.Probe.entry) ->
-                    let h =
-                      if e.e_kind = k_stage then rp.rp_stage
-                      else if e.e_kind = k_push_stall then rp.rp_push_stall
-                      else if e.e_kind = k_pop_stall then rp.rp_pop_stall
-                      else if e.e_kind = k_squash then rp.rp_squash
-                      else rp.rp_validate
-                    in
-                    Obs.Hist.add h e.e_a)
-                  (Obs.Probe.entries p));
-              rp
-            in
-            let dropped =
-              Array.fold_left
-                (fun acc (a : acct) ->
-                  match a.prb with Some p -> acc + Obs.Probe.dropped p | None -> acc)
-                0 accts
-            in
+          else
             Some
-              {
-                tl_roles = Array.mapi role_probe accts;
-                tl_queues = List.rev_map (fun f -> f ()) !queue_stats;
-                tl_dropped = dropped;
-              }
-          end
-        in
-        let merged_events =
-          if not events then []
-          else begin
-            let span_us = us () in
-            let all =
-              Array.fold_left (fun acc (a : acct) -> List.rev_append a.evs acc) [] accts
-            in
-            Obs.Event.Loop_begin { time = 0; loop = name }
-            :: List.stable_sort
-                 (fun a b -> Int.compare (Obs.Event.time a) (Obs.Event.time b))
-                 all
-            @ [ Obs.Event.Loop_end { time = span_us; loop = name; span = span_us } ]
-          end
+              (drain ~loop:name ~span_us ~r ~fused ~qcap:!qcap ~role_name
+                 (Array.map (fun a -> Option.get a.prb) accts))
         in
         {
           output = Buffer.contents buf;
@@ -593,7 +556,6 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
               violations = !violations;
               roles = role_rows;
             };
-          events = merged_events;
           telemetry;
         }
       end
@@ -608,6 +570,52 @@ let run ?pool ?(queue_capacity = 64) ?(events = false) ?(probe = false)
       (* One pool slot per role: A + C + the B replicas (fused B+C at
          two domains), so the role count equals [threads]. *)
       Parallel.Pool.with_pool ~domains:threads (fun p -> go threads p)
+
+(* The event view of a probed run, decoded from the rings on demand.
+   Core, phase and queue come from the recording role, the queue slot
+   from the iteration ([i mod replicas]) and the task id from the
+   iteration and phase ([3i], [3i+1], [3i+2]).  A stage record yields
+   both ends of its span, so the decoded stream is re-sorted by time;
+   the sort is stable over (role, record order), hence deterministic. *)
+let events tl =
+  let { loop; span_us; probes } = tl.tl_rings in
+  let c = Array.length probes - 1 in
+  let r = c - 1 in
+  let decode (e : Obs.Probe.entry) =
+    let k = e.e_domain and time = e.e_time in
+    let kind = e.e_kind in
+    if kind = k_stage then begin
+      let iteration = e.e_b and p = if k = 0 then 0 else if k = c then 2 else 1 in
+      let task = (3 * iteration) + p in
+      [
+        Obs.Event.Task_start
+          { time = time - max 0 e.e_a; task; core = k; phase = "ABC".[p]; iteration; work = 0 };
+        Obs.Event.Task_finish { time; task; core = k };
+      ]
+    end
+    else if kind = k_push || kind = k_pop then begin
+      let i = e.e_a in
+      let queue = if kind = k_push then push_queue k else pop_queue ~c k in
+      (* In-queue items belong to A's task, out-queue items to B's. *)
+      let task = if queue = Obs.Event.In_queue then 3 * i else (3 * i) + 1 in
+      let slot = i mod r and occupancy = e.e_b in
+      [
+        (if kind = k_push then Obs.Event.Queue_push { time; queue; slot; occupancy; task }
+         else Obs.Event.Queue_pop { time; queue; slot; occupancy; task });
+      ]
+    end
+    else if kind = k_commit then [ Obs.Event.Iter_commit { time; iteration = e.e_a } ]
+    else if kind = k_squash then
+      [
+        Obs.Event.Task_squash
+          { time = time - max 0 e.e_a; task = (3 * e.e_b) + 1; core = k; elapsed = 0 };
+      ]
+    else []
+  in
+  let decoded = List.concat_map decode (List.concat_map Obs.Probe.entries (Array.to_list probes)) in
+  (Obs.Event.Loop_begin { time = 0; loop }
+  :: List.stable_sort (fun a b -> Int.compare (Obs.Event.time a) (Obs.Event.time b)) decoded)
+  @ [ Obs.Event.Loop_end { time = span_us; loop; span = span_us } ]
 
 let queue_stat_name qs =
   Printf.sprintf "%s-queue %d" (Obs.Event.queue_name qs.qs_queue) qs.qs_slot

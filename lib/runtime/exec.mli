@@ -30,12 +30,12 @@
 (** Per-role time accounting.  Stall times are measured on the slow
     path only (a pop that found the ring empty, a push that found it
     full), so a smooth pipeline reads no clock for them.  How [rs_busy]
-    is measured depends on the telemetry switches:
+    is measured depends on [~probe]:
 
-    - with [~events] or [~probe] on, it is the sum of the role's
-      per-item stage-body spans (plus squash re-execution on C), read
-      from clocks around every body;
-    - with both off (the default), no per-item clock is read: it is the
+    - with it on, it is the sum of the role's per-item stage-body spans
+      (plus squash re-execution on C), read from clocks around every
+      body;
+    - with it off (the default), no per-item clock is read: it is the
       role's own wall clock minus [rs_starved] and [rs_blocked], so it
       also covers queue-op and dispatch overhead.  At two domains B and
       C share one role, whose whole busy time is reported on the B row;
@@ -60,13 +60,13 @@ type stats = {
   roles : role_stats array;  (** A, B replicas, C — in that order *)
 }
 
-(** Post-run snapshot of one instrumented SPSC ring. *)
+(** One SPSC ring's traffic, derived from the producer's push records. *)
 type queue_stat = {
   qs_queue : Obs.Event.queue;
   qs_slot : int;
   qs_capacity : int;
-  qs_high_water : int;  (** occupancy high-water over the whole run *)
-  qs_pushes : int;
+  qs_high_water : int;  (** highest occupancy any push left *)
+  qs_pushes : int;  (** push records for this ring *)
 }
 
 (** Latency histograms drained from one role's {!Obs.Probe} ring.  All
@@ -81,19 +81,21 @@ type role_probe = {
   rp_validate : Obs.Hist.t;  (** versioned-memory commit validation *)
 }
 
+type rings
+(** The raw per-role probe rings of one run, kept for {!events}. *)
+
 type telemetry = {
   tl_roles : role_probe array;  (** parallel to [stats.roles] *)
   tl_queues : queue_stat list;  (** in-queues then out-queues, by slot *)
-  tl_dropped : int;  (** probe records lost to ring wrap *)
+  tl_dropped : int;
+      (** probe records lost to ring wrap; [0], since each ring is sized
+          from its role's item count *)
+  tl_rings : rings;
 }
 
 type result = {
   output : string;  (** observable output; must equal [Staged.run_seq] *)
   stats : stats;
-  events : Obs.Event.t list;
-      (** real-execution event stream (timestamps in microseconds since
-          the run started), merged across roles in time order; empty
-          unless [~events:true] *)
   telemetry : telemetry option;
       (** probe aggregates; present iff [~probe:true] and the run was
           actually parallel (the sequential path has no roles) *)
@@ -102,7 +104,6 @@ type result = {
 val run :
   ?pool:Parallel.Pool.t ->
   ?queue_capacity:int ->
-  ?events:bool ->
   ?probe:bool ->
   ?span_registry:Obs.Span.t ->
   threads:int ->
@@ -115,22 +116,36 @@ val run :
     dedicated pool of exactly the role count is created and shut down.
     [?queue_capacity] sizes each SPSC ring (default 64 entries, the
     paper's 32-entry queues doubled to amortize cursor traffic).
-    [?probe] (default off) gives every role a private {!Obs.Probe} ring
-    and instruments the SPSC queues: stage-body / stall / squash /
-    validation latencies and queue high-water marks land in
-    {!result.telemetry} after the roles join.  Probing never touches
-    the output bytes — it only reads clocks and writes preallocated
-    rings — so output stays byte-identical to a probe-off run.
+    [?probe] (default off) gives every role a private {!Obs.Probe} ring,
+    the run's only recorder: stage bodies, queue pushes and pops (with
+    the occupancy they left), stalls, validations, squashes and
+    commits.  Each ring is sized from the items its role will process,
+    so it never wraps.  After the roles join, the rings are drained
+    into latency histograms and queue stats ({!result.telemetry});
+    {!events} decodes them into an event stream on demand.  Probing
+    never touches the output bytes — it only reads clocks and writes
+    preallocated rings — so output stays byte-identical to a probe-off
+    run.
 
-    Telemetry is zero-cost when off: with [events] and [probe] both
-    off, no event is built, no per-item clock is read, and on a Pure
-    pipeline the runtime allocates nothing per item beyond the stage
-    bodies' own allocation and the [(index, item)] pair (3 words) each
-    queue hop carries.
+    Telemetry is zero-cost when off: with [probe] off nothing is
+    recorded, no per-item clock is read, and on a Pure pipeline the
+    runtime allocates nothing per item beyond the stage bodies' own
+    allocation and the [(index, item)] pair (3 words) each queue hop
+    carries.
     [?span_registry] receives per-role busy/starved/blocked aggregates
     under ["real/<name>/<role>"].  If a stage body raises, all queues
     are poisoned, every role unwinds, and the first exception is
     re-raised on the caller. *)
+
+val events : telemetry -> Obs.Event.t list
+(** The run's event stream, decoded from its probe rings: [Loop_begin]
+    at time 0, then [Task_start]/[Task_finish] per stage body,
+    [Queue_push]/[Queue_pop] with the occupancy each left,
+    [Task_squash] per re-execution and [Iter_commit] per iteration,
+    sorted by time (microseconds since the run started), then
+    [Loop_end].  Cores are role indices (A = 0, B replicas 1..n,
+    C = n + 1) and iteration [i]'s A/B/C tasks are [3i], [3i+1],
+    [3i+2]. *)
 
 val pp_telemetry : stats -> Format.formatter -> telemetry -> unit
 (** Per-role latency histograms and per-queue high-water table

@@ -46,13 +46,11 @@ type 'a t = {
   tail_snap : int array;  (* consumer's cached view of tail *)
   closed : bool Atomic.t;
   poisoned : bool Atomic.t;
-  instrument : bool;
-  stats : int array;  (* producer-only: [0] high-water, [1] push count *)
 }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
-let create ?(capacity = 64) ?(instrument = false) () =
+let create ?(capacity = 64) () =
   let cap = pow2 (max 1 capacity) 1 in
   let head = copy_as_padded (Atomic.make 0) in
   let tail = copy_as_padded (Atomic.make 0) in
@@ -65,8 +63,6 @@ let create ?(capacity = 64) ?(instrument = false) () =
     tail_snap = Array.make pad 0;
     closed = Atomic.make false;
     poisoned = Atomic.make false;
-    instrument;
-    stats = Array.make pad 0;
   }
 
 let capacity t = t.mask + 1
@@ -92,13 +88,6 @@ let try_push t x =
     t.buf.(tail land t.mask) <- Obj.repr x;
     (* Release: publishes the buffer store above to the consumer. *)
     Atomic.set t.tail (tail + 1);
-    if t.instrument then begin
-      (* Producer-only stores into a padded cell: exact occupancy needs
-         the real head, but this is off the default path. *)
-      let occ = tail + 1 - Atomic.get t.head in
-      if occ > t.stats.(0) then t.stats.(0) <- occ;
-      t.stats.(1) <- t.stats.(1) + 1
-    end;
     true
   end
 
@@ -151,10 +140,6 @@ let rec pop_from t k =
     pop_from t (k + 1)
 
 let pop t = pop_from t 0
-
-let high_water t = t.stats.(0)
-
-let push_count t = t.stats.(1)
 
 let close t = Atomic.set t.closed true
 

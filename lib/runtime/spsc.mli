@@ -40,24 +40,20 @@ exception Closed
 (** Raised by {!try_pop} and {!pop} once the queue is both closed and
     drained: the end of the stream. *)
 
-val create : ?capacity:int -> ?instrument:bool -> unit -> 'a t
-(** Capacity is rounded up to a power of two; default 64.  With
-    [instrument] (default off) the producer additionally tracks the
-    ring's occupancy high-water mark and total push count in a
-    cache-padded cell of its own — one extra head read and two plain
-    stores per successful push, nothing on the default path. *)
+val create : ?capacity:int -> unit -> 'a t
+(** Capacity is rounded up to a power of two; default 64.  The queue
+    keeps no statistics of its own: a probed {!Exec.run} records each
+    push's and pop's resulting {!length} in the acting role's
+    {!Obs.Probe} ring, and derives high-water marks and push counts
+    from those records. *)
 
 val capacity : 'a t -> int
 
-val high_water : 'a t -> int
-(** Highest occupancy any push observed.  Always [0] on an
-    uninstrumented queue.  Read it only after the producer quiesces. *)
-
-val push_count : 'a t -> int
-(** Total successful pushes.  Always [0] on an uninstrumented queue. *)
-
 val length : 'a t -> int
-(** Occupancy snapshot; exact only when both sides are quiescent. *)
+(** Occupancy snapshot: reads both cursors.  Exact when both sides are
+    quiescent; read right after its own push (or pop) it is the
+    occupancy that operation left, up to the other side's concurrent
+    progress. *)
 
 val try_push : 'a t -> 'a -> bool
 (** [false] when the ring is full.  @raise Poisoned on a poisoned queue. *)

@@ -114,8 +114,8 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
   (match trace with
   | None -> ()
   | Some file ->
-    (* Instrumented re-runs for the event streams; kept out of the
-       measured passes so tracing cannot perturb the numbers above.
+    (* Probed re-runs for the event streams; kept out of the measured
+       passes so tracing cannot perturb the numbers above.
        One trace per parallel sweep point: "out.json" -> "out-tN.json"
        (the sequential point has no roles, hence no events). *)
     let name = (find (List.hd benches)).Study.spec_name in
@@ -128,15 +128,15 @@ let run ?benches ?(max_threads = 4) ?(scale = Study.Small) ?history ?trace
     List.iter
       (fun t ->
         if t > 1 then begin
-          let r =
-            Exec.run ~threads:t ~name ~events:true (Real_bench.staged ~scale name)
+          let r = Exec.run ~threads:t ~name ~probe:true (Real_bench.staged ~scale name) in
+          let events =
+            match r.Exec.telemetry with Some tl -> Exec.events tl | None -> []
           in
           let pf = point_file t in
           Obs.Trace_event.write_file
             ~process_name:(Printf.sprintf "validate-real %s t%d" name t)
-            pf r.Exec.events;
-          Printf.printf "trace: %d real events written to %s\n"
-            (List.length r.Exec.events) pf
+            pf events;
+          Printf.printf "trace: %d real events written to %s\n" (List.length events) pf
         end)
       threads);
   (match history with

@@ -11,10 +11,11 @@
     With [history] set, one {!Obs_analysis.History} entry is appended
     whose [real] block holds every measured point; the regression and
     scaling gates skip such entries.  With [trace] set, the first
-    benchmark is re-run instrumented once per {e parallel} sweep point
-    (2..[max_threads] threads) and each run's event stream written as
-    its own Chrome trace: for [--trace out.json] the files are
-    [out-t2.json], [out-t3.json], ...  The 1-thread point runs the
+    benchmark is re-run with probes on once per {e parallel} sweep
+    point (2..[max_threads] threads) and each run's rings, decoded by
+    {!Exec.events}, written as its own Chrome trace: for
+    [--trace out.json] the files are [out-t2.json], [out-t3.json], ...
+    The 1-thread point runs the
     sequential reference, which has no roles and hence no events, so
     no [-t1] file is written.
 

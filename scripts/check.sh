@@ -211,10 +211,17 @@ rm -f "$hist_scale"
 # reference (validate-real exits 1 on any mismatch).  The run appends a
 # `real` entry to BENCH_history.jsonl; such entries are ignored by the
 # perf/scaling gates above (they measure the simulator, not the
-# runtime) but must round-trip through the history format.
+# runtime) but must round-trip through the history format.  Its
+# --trace re-run decodes the probe rings into a Chrome trace
+# (<base>-t2.json), which must parse with slices and occupancy
+# counters.
+vr_trace="$(mktemp -t vr_trace.XXXXXX.json)"
+vr_trace_t2="${vr_trace%.json}-t2.json"
+trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$vr_trace" "$vr_trace_t2"' EXIT
 hist_len_before="$(wc -l < BENCH_history.jsonl)"
 dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
-  --history BENCH_history.jsonl > /dev/null
+  --history BENCH_history.jsonl --trace "$vr_trace" > /dev/null
+dune exec scripts/validate_trace.exe -- "$vr_trace_t2"
 hist_len_after="$(wc -l < BENCH_history.jsonl)"
 if [[ "$hist_len_after" -ne $((hist_len_before + 1)) ]]; then
   echo "check.sh: validate-real did not append exactly one history entry" >&2
@@ -288,7 +295,7 @@ fi
 prof_trace="$(mktemp -t prof_trace.XXXXXX.json)"
 prof_dump="$(mktemp -t prof_dump.XXXXXX.json)"
 prof_out="$(mktemp -t prof_out.XXXXXX.txt)"
-trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$prof_trace" "$prof_dump" "$prof_out"' EXIT
+trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$vr_trace" "$vr_trace_t2" "$prof_trace" "$prof_dump" "$prof_out"' EXIT
 dune exec bin/repro.exe -- profile-real -b 164.gzip -t 3 -s small \
   --trace "$prof_trace" --dump "$prof_dump" > "$prof_out"
 for anchor in 'telemetry:' 'stage-us' 'high-water'; do
@@ -329,5 +336,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke + real-fine runtime smoke + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + real-fine runtime smoke + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -1,4 +1,4 @@
-(* Tests for the machine model: configuration, queues, versioned memory. *)
+(* Tests for the machine model: configuration, versioned memory. *)
 
 let config_defaults () =
   let c = Machine.Config.default ~cores:8 in
@@ -15,23 +15,6 @@ let config_queue_budget () =
   let c = Machine.Config.default ~cores:32 in
   Alcotest.(check bool) "within budget" true
     (Machine.Config.queues_needed c <= c.Machine.Config.queue_count)
-
-(* ------------------------------------------------------------------ *)
-(* Queue model                                                         *)
-
-let queue_push_pop () =
-  let q = Machine.Queue_model.create ~capacity:2 in
-  Alcotest.(check bool) "empty" true (Machine.Queue_model.is_empty q);
-  Machine.Queue_model.push q;
-  Machine.Queue_model.push q;
-  Alcotest.(check bool) "full" true (Machine.Queue_model.is_full q);
-  Alcotest.check_raises "overflow" (Invalid_argument "Queue_model.push: full") (fun () ->
-      Machine.Queue_model.push q);
-  Machine.Queue_model.pop q;
-  Machine.Queue_model.pop q;
-  Alcotest.check_raises "underflow" (Invalid_argument "Queue_model.pop: empty") (fun () ->
-      Machine.Queue_model.pop q);
-  Alcotest.(check int) "high water" 2 (Machine.Queue_model.high_water q)
 
 (* ------------------------------------------------------------------ *)
 (* Versioned memory                                                    *)
@@ -157,7 +140,6 @@ let () =
           Alcotest.test_case "rejects bad" `Quick config_rejects_bad;
           Alcotest.test_case "queue budget" `Quick config_queue_budget;
         ] );
-      ("queue", [ Alcotest.test_case "push/pop" `Quick queue_push_pop ]);
       ( "versioned-memory",
         [
           Alcotest.test_case "RAW violation" `Quick vm_raw_violation;

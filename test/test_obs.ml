@@ -160,15 +160,7 @@ let sink_recorder_and_offset () =
   S.emit sink (E.Task_finish { time = 7; task = 3; core = 1 });
   S.emit sink (E.Wake { time = 1 });
   Alcotest.(check int) "two events" 2 (S.count r);
-  Alcotest.(check (list int)) "times rebased" [ 107; 101 ] (List.map E.time (S.events r));
-  S.clear r;
-  Alcotest.(check int) "cleared" 0 (S.count r)
-
-let sink_tee_forwards_to_both () =
-  let a = S.recorder () and b = S.recorder () in
-  S.emit (S.tee (S.record a) (S.record b)) (E.Wake { time = 2 });
-  Alcotest.(check int) "left" 1 (S.count a);
-  Alcotest.(check int) "right" 1 (S.count b)
+  Alcotest.(check (list int)) "times rebased" [ 107; 101 ] (List.map E.time (S.events r))
 
 (* ------------------------------------------------------------------ *)
 (* Trace export from a real registry study                             *)
@@ -512,7 +504,6 @@ let () =
         [
           Alcotest.test_case "null disabled" `Quick sink_null_is_disabled;
           Alcotest.test_case "recorder and offset" `Quick sink_recorder_and_offset;
-          Alcotest.test_case "tee" `Quick sink_tee_forwards_to_both;
         ] );
       ( "trace",
         [

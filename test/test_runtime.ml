@@ -151,28 +151,70 @@ let role_stats_cover_all_items () =
   Alcotest.(check int) "C consumed every iteration" n (items 'C');
   Alcotest.(check int) "replicas per the paper's plan" 2 r.Exec.stats.Exec.replicas
 
+(* The decoded event stream of a probed run, on a Pure bench and on
+   175.vpr, which takes the Spec path and squashes: loop markers at both
+   ends, time order in between, exactly one start and one finish per
+   (iteration, phase) with the finish after the start, one commit per
+   iteration, one squash event per counted squash, and per queue slot
+   the highest decoded push occupancy is the reported high-water mark. *)
 let events_well_formed () =
-  let name = "181.mcf" in
-  let staged = Runtime.Real_bench.staged name in
-  let n = Staged.iterations staged in
-  let r = Exec.run ~threads:3 ~name ~events:true staged in
-  (match r.Exec.events with
-  | Obs.Event.Loop_begin _ :: _ -> ()
-  | _ -> Alcotest.fail "first event is Loop_begin");
-  (match List.rev r.Exec.events with
-  | Obs.Event.Loop_end _ :: _ -> ()
-  | _ -> Alcotest.fail "last event is Loop_end");
-  let commits =
-    List.length
-      (List.filter (function Obs.Event.Iter_commit _ -> true | _ -> false) r.Exec.events)
-  in
-  Alcotest.(check int) "one commit per iteration" n commits;
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> Obs.Event.time a <= Obs.Event.time b && sorted rest
-    | _ -> true
-  in
-  (* The inner stream is time-sorted between the loop markers. *)
-  Alcotest.(check bool) "events in time order" true (sorted r.Exec.events)
+  List.iter
+    (fun name ->
+      let staged = Runtime.Real_bench.staged name in
+      let n = Staged.iterations staged in
+      let r = Exec.run ~threads:3 ~name ~probe:true staged in
+      let tl =
+        match r.Exec.telemetry with Some tl -> tl | None -> Alcotest.fail "no telemetry"
+      in
+      let evs = Exec.events tl in
+      (match evs with
+      | Obs.Event.Loop_begin _ :: _ -> ()
+      | _ -> Alcotest.fail "first event is Loop_begin");
+      (match List.rev evs with
+      | Obs.Event.Loop_end _ :: _ -> ()
+      | _ -> Alcotest.fail "last event is Loop_end");
+      let count p = List.length (List.filter p evs) in
+      Alcotest.(check int) (name ^ ": one commit per iteration") n
+        (count (function Obs.Event.Iter_commit _ -> true | _ -> false));
+      Alcotest.(check int) (name ^ ": one squash event per squash") r.Exec.stats.Exec.squashes
+        (count (function Obs.Event.Task_squash _ -> true | _ -> false));
+      let rec sorted = function
+        | a :: (b :: _ as rest) -> Obs.Event.time a <= Obs.Event.time b && sorted rest
+        | _ -> true
+      in
+      Alcotest.(check bool) (name ^ ": events in time order") true (sorted evs);
+      (* Task [3i + p] is iteration i's phase p (A, B, C). *)
+      let starts = Array.make (3 * n) 0 and finishes = Array.make (3 * n) 0 in
+      List.iter
+        (function
+          | Obs.Event.Task_start { task; iteration; phase; _ } ->
+            Alcotest.(check int) "task id encodes iteration and phase"
+              ((3 * iteration) + Char.code phase - Char.code 'A')
+              task;
+            if finishes.(task) > 0 then Alcotest.failf "%s: task %d finished before it started" name task;
+            starts.(task) <- starts.(task) + 1
+          | Obs.Event.Task_finish { task; _ } ->
+            if starts.(task) = 0 then Alcotest.failf "%s: task %d finished before it started" name task;
+            finishes.(task) <- finishes.(task) + 1
+          | _ -> ())
+        evs;
+      Alcotest.(check bool) (name ^ ": one start and one finish per (iteration, phase)") true
+        (Array.for_all (( = ) 1) starts && Array.for_all (( = ) 1) finishes);
+      List.iter
+        (fun qs ->
+          let peak =
+            List.fold_left
+              (fun acc -> function
+                | Obs.Event.Queue_push { queue; slot; occupancy; _ }
+                  when queue = qs.Exec.qs_queue && slot = qs.Exec.qs_slot ->
+                  max acc occupancy
+                | _ -> acc)
+              0 evs
+          in
+          Alcotest.(check int) (name ^ ": decoded push occupancy peaks at the high-water")
+            qs.Exec.qs_high_water peak)
+        tl.Exec.tl_queues)
+    [ "181.mcf"; "175.vpr" ]
 
 let stage_exception_propagates () =
   let staged =
@@ -370,8 +412,8 @@ let sim_vs_real_ordering () =
 (* ------------------------------------------------------------------ *)
 (* Telemetry probes                                                    *)
 
-(* The observability contract: the [events] and [probe] switches change
-   only what is recorded, never a single output byte, at any thread
+(* The observability contract: the [probe] switch changes only what is
+   recorded, never a single output byte, at any thread
    count, including the speculation path (175.vpr squashes and
    re-executes under probes).  Whichever way busy time is measured
    (summed stage bodies when telemetry is on, wall clock minus stalls
@@ -384,11 +426,9 @@ let probes_do_not_change_output () =
       List.iter
         (fun threads ->
           List.iter
-            (fun (events, probe) ->
-              let r = Exec.run ~threads ~name ~events ~probe (Runtime.Real_bench.staged name) in
-              let label =
-                Printf.sprintf "%s at %d threads, events=%b probe=%b" name threads events probe
-              in
+            (fun probe ->
+              let r = Exec.run ~threads ~name ~probe (Runtime.Real_bench.staged name) in
+              let label = Printf.sprintf "%s at %d threads, probe=%b" name threads probe in
               Alcotest.(check bool) (label ^ ": byte-identical") true (r.Exec.output = seq);
               Alcotest.(check bool)
                 (label ^ ": telemetry present iff probed and parallel")
@@ -404,7 +444,7 @@ let probes_do_not_change_output () =
                     true
                     (rs.Exec.rs_busy >= 0. && sum <= st.Exec.seconds +. 1e-3))
                 st.Exec.roles)
-            [ (false, false); (true, false); (false, true); (true, true) ])
+            [ false; true ])
         [ 1; 2; 3; 4 ])
     [ "164.gzip"; "175.vpr" ]
 
@@ -433,6 +473,47 @@ let telemetry_is_sane () =
         Alcotest.(check int) "every item crossed the queue" n qs.Exec.qs_pushes)
       tl.Exec.tl_queues;
     Alcotest.(check int) "nothing dropped at this scale" 0 tl.Exec.tl_dropped
+
+(* Each role's ring is sized from the items it will process, so even a
+   long run loses no record: a 25,000-iteration synthetic pipeline (the
+   benchmark's real-fine size) decodes to one commit per iteration, and
+   every queue counts exactly the items routed through it — iteration i
+   rides slot [i mod replicas]. *)
+let long_run_drops_nothing () =
+  let study =
+    match Benchmarks.Registry.find "164.gzip" with Some s -> s | None -> assert false
+  in
+  let pdg = study.Benchmarks.Study.pdg () in
+  let enabled = Core.Framework.enabled_breakers study.Benchmarks.Study.plan in
+  let partition = Dswp.Partition.partition pdg ~enabled in
+  let n = 25_000 in
+  List.iter
+    (fun threads ->
+      let r =
+        Exec.run ~threads ~name:"long" ~probe:true
+          (Runtime.Synthetic.staged pdg partition ~iterations:n)
+      in
+      let label = Printf.sprintf "%d threads" threads in
+      match r.Exec.telemetry with
+      | None -> Alcotest.fail "no telemetry"
+      | Some tl ->
+        Alcotest.(check int) (label ^ ": nothing dropped") 0 tl.Exec.tl_dropped;
+        Alcotest.(check int) (label ^ ": one decoded commit per iteration") n
+          (List.length
+             (List.filter
+                (function Obs.Event.Iter_commit _ -> true | _ -> false)
+                (Exec.events tl)));
+        let replicas = r.Exec.stats.Exec.replicas in
+        List.iter
+          (fun qs ->
+            let slot = qs.Exec.qs_slot in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s-queue %d pushes" label
+                 (Obs.Event.queue_name qs.Exec.qs_queue) slot)
+              ((n - slot + replicas - 1) / replicas)
+              qs.Exec.qs_pushes)
+          tl.Exec.tl_queues)
+    [ 2; 3; 4 ]
 
 (* A real probe dump must fit a calibration: the microsecond stage
    histograms become per-iteration stage costs. *)
@@ -493,6 +574,7 @@ let () =
           Alcotest.test_case "probes never change output" `Quick
             probes_do_not_change_output;
           Alcotest.test_case "telemetry sane" `Quick telemetry_is_sane;
+          Alcotest.test_case "long run drops nothing" `Quick long_run_drops_nothing;
           Alcotest.test_case "probe dump fits calibration" `Quick
             probe_dump_fits_calibration;
         ] );
