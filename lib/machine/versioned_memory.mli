@@ -11,9 +11,15 @@
     writes that do not change the committed value — are detected at commit
     and do not raise violations (Lepak & Lipasti [15]).
 
-    This module is the semantic reference: the fast path in
-    {!Profiling.Mem_profile} must agree with it on which cross-task RAW
-    dependences exist, which the test suite checks by property. *)
+    This module is the semantic reference model, not an execution
+    substrate: the fast path in {!Profiling.Mem_profile} must agree with
+    it on which cross-task RAW dependences exist, which the test suite
+    checks by property.  The real Domain runtime does not use it — its
+    speculative store ([Runtime.Spec_store]) implements the part of
+    this contract the runtime needs (buffered writes, forwarding from
+    the youngest earlier in-flight iteration, in-order commit, value
+    validation) with one writer and no lock.  Operations here are not
+    thread-safe. *)
 
 type t
 

@@ -1,5 +1,3 @@
-module VM = Machine.Versioned_memory
-
 type role_stats = {
   rs_role : string;
   rs_items : int;
@@ -46,6 +44,16 @@ type telemetry = {
 type result = { output : string; stats : stats; telemetry : telemetry option }
 
 let now = Unix.gettimeofday
+
+(* A speculative execution's outcome, and what a B replica hands C. *)
+type 'r outcome = Ran of (int * int) list * 'r | Raised of exn
+
+type ('i, 'r) executed = {
+  m_iter : int;
+  m_item : 'i;
+  m_log : Spec_store.log;  (* the reads validation re-checks *)
+  m_out : 'r outcome;
+}
 
 (* Probe record kinds.  Every record's time is microseconds since the
    run's own origin, taken when the operation ended.  The timed kinds
@@ -278,6 +286,18 @@ let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~n
            only when probing: [Spsc.length] reads both cursors. *)
         let pushed acct q i = if probe then record acct ~kind:k_push ~a:i ~b:(Spsc.length q) in
         let popped acct q i = if probe then record acct ~kind:k_pop ~a:i ~b:(Spsc.length q) in
+        (* Stage A deals iteration [i] to replica [i mod r]. *)
+        let role_a produce a2b () =
+          let acct = accts.(0) in
+          for i = 0 to n - 1 do
+            span_begin acct;
+            let item = produce i in
+            span_end acct ~iteration:i;
+            push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct (i, item);
+            pushed acct a2b.(i mod r) i
+          done;
+          Array.iter Spsc.close a2b
+        in
         (* Role [k] runs on accts.(k): A, the B replicas (or the fused B+C
            role at two domains), C.  The per-item loops call only known
            functions, never a [(fun () -> ...)] body (without flambda
@@ -289,17 +309,6 @@ let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~n
           | Staged.Pure s ->
             let a2b = new_queues r in
             let b2c = if fused then [||] else new_queues r in
-            let role_a () =
-              let acct = accts.(0) in
-              for i = 0 to n - 1 do
-                span_begin acct;
-                let item = s.Staged.produce i in
-                span_end acct ~iteration:i;
-                push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct (i, item);
-                pushed acct a2b.(i mod r) i
-              done;
-              Array.iter Spsc.close a2b
-            in
             let transform acct i item =
               span_begin acct;
               let res = s.Staged.transform item in
@@ -354,112 +363,100 @@ let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~n
               in
               loop 0
             in
+            let role_a = role_a s.Staged.produce a2b in
             if fused then [| role_a; role_bc |]
             else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
           | Staged.Spec s ->
             let a2b = new_queues r in
             let b2c = if fused then [||] else new_queues r in
-            let vm = VM.create () in
-            let vml = Mutex.create () in
-            List.iter (fun (loc, v) -> VM.set_committed vm ~loc v) s.Staged.sp_init;
-            let locked f =
-              Mutex.lock vml;
-              match f () with
-              | v ->
-                Mutex.unlock vml;
-                v
-              | exception e ->
-                Mutex.unlock vml;
-                raise e
+            (* The fused B+C role executes each iteration against fully
+               committed state, so only replicated B forwards. *)
+            let store = Spec_store.create ~forwarding:(not fused) s.Staged.sp_init in
+            let read_committed loc = Spec_store.committed store loc in
+            (* Each replica cycles its read logs through a return ring
+               from C: it takes a free log or, when none is back yet,
+               makes one, so the logs in circulation never exceed the
+               items in flight and a warm run allocates none. *)
+            let free =
+              Array.init (if fused then 0 else r) (fun _ ->
+                  Spsc.create ~capacity:(queue_capacity + 2) ())
             in
-            let committed loc =
-              match VM.committed_value vm ~loc with Some v -> v | None -> 0
+            let take_log k =
+              match Spsc.try_pop free.(k) with
+              | log -> log
+              | exception Spsc.Empty -> Spec_store.log_create ()
             in
-            let role_a () =
-              let acct = accts.(0) in
-              for i = 0 to n - 1 do
-                span_begin acct;
-                let item = s.Staged.sp_produce i in
-                span_end acct ~iteration:i;
-                (* Versions open in logical order before dispatch, so a
-                   replica's speculative reads can forward from every
-                   earlier in-flight iteration. *)
-                locked (fun () -> VM.begin_task vm ~task:i);
-                push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct (i, item);
-                pushed acct a2b.(i mod r) i
-              done;
-              Array.iter Spsc.close a2b
-            in
-            let exec_spec acct i item =
+            let give_log k log = ignore (Spsc.try_push free.(k) log) in
+            (* Each role builds its [read] once, over the log of the
+               execution in progress (a replica's cycles through a
+               cell), so a read costs one lookup and two stores into the
+               log.  A raise out of a speculative body is deferred to
+               commit: it may be an artefact of a stale read. *)
+            let exec_spec acct log read i item =
               span_begin acct;
-              let reads = ref [] in
-              let read loc =
-                let v =
-                  locked (fun () -> match VM.read vm ~task:i ~loc with Some v -> v | None -> 0)
-                in
-                reads := (loc, v) :: !reads;
-                v
+              Spec_store.start log ~iteration:i;
+              let out =
+                match s.Staged.sp_exec ~read item with
+                | writes, res -> Ran (writes, res)
+                | exception e -> Raised e
               in
-              let writes, res = s.Staged.sp_exec ~read item in
-              locked (fun () -> List.iter (fun (loc, v) -> VM.write vm ~task:i ~loc v) writes);
               span_end acct ~iteration:i;
-              (!reads, writes, res)
+              out
             in
-            (* Commit-time validation: every value iteration [i] read
-               must equal the committed value now that all earlier
-               iterations have committed — i.e. exactly what the
-               sequential run would have read.  A mismatch squashes the
-               iteration: re-execute against committed state, neutralize
-               stale buffered writes (re-writing the committed value is
-               a silent store), and only then commit. *)
-            let commit_one acct i item (reads, writes, res) =
-              let tv = if probe then now () else 0. in
-              let stale =
-                locked (fun () -> List.exists (fun (loc, obs) -> committed loc <> obs) reads)
-              in
-              if probe then
-                record acct ~kind:k_validate ~a:(int_of_float ((now () -. tv) *. 1e6)) ~b:i;
-              let writes, res =
-                if not stale then (writes, res)
-                else begin
-                  incr squashes;
-                  let read loc = locked (fun () -> committed loc) in
-                  let tb = if probe then now () else 0. in
-                  let writes', res' = s.Staged.sp_exec ~read item in
-                  if probe then begin
-                    let d = now () -. tb in
-                    acct.clk.busy <- acct.clk.busy +. d;
-                    record acct ~kind:k_squash ~a:(int_of_float (d *. 1e6)) ~b:i
-                  end;
-                  locked (fun () ->
-                      List.iter
-                        (fun (loc, _) ->
-                          if not (List.mem_assoc loc writes') then
-                            VM.write vm ~task:i ~loc (committed loc))
-                        writes);
-                  (writes', res')
-                end
-              in
-              let viols =
-                locked (fun () ->
-                    List.iter (fun (loc, v) -> VM.write vm ~task:i ~loc v) writes;
-                    VM.commit vm ~task:i)
-              in
-              violations := !violations + List.length viols;
+            let finish_commit acct i ~spec writes res =
+              Spec_store.commit store writes;
+              Spec_store.retire store ~iteration:i spec;
               span_begin acct;
               s.Staged.sp_consume buf i res;
               span_end acct ~iteration:i;
               record acct ~kind:k_commit ~a:i ~b:0
             in
+            (* Commit-time validation: every value iteration [i] read
+               must equal the committed value now that all earlier
+               iterations have committed — i.e. exactly what the
+               sequential run would have read.  A stale read squashes
+               the iteration: it re-executes against committed state
+               here, on C's domain, and only then commits. *)
+            let commit_one acct i item log out =
+              let tv = if probe then now () else 0. in
+              let stale = Spec_store.stale store log in
+              if probe then
+                record acct ~kind:k_validate ~a:(int_of_float ((now () -. tv) *. 1e6)) ~b:i;
+              let spec = match out with Ran (writes, _) -> writes | Raised _ -> [] in
+              if stale = 0 then begin
+                match out with
+                | Ran (writes, res) -> finish_commit acct i ~spec writes res
+                | Raised e -> raise e
+              end
+              else begin
+                incr squashes;
+                violations := !violations + stale;
+                let tb = if probe then now () else 0. in
+                let writes, res = s.Staged.sp_exec ~read:read_committed item in
+                if probe then begin
+                  let d = now () -. tb in
+                  acct.clk.busy <- acct.clk.busy +. d;
+                  record acct ~kind:k_squash ~a:(int_of_float (d *. 1e6)) ~b:i
+                end;
+                finish_commit acct i ~spec writes res
+              end
+            in
             let role_b k () =
               let acct = accts.(k + 1) in
+              let cur = ref (take_log k) in
+              let read loc = Spec_store.read store !cur loc in
               let rec loop () =
                 match pop_acct ~us ~slot:k a2b.(k) acct with
                 | exception Spsc.Closed -> Spsc.close b2c.(k)
                 | i, item ->
                   popped acct a2b.(k) i;
-                  let payload = exec_spec acct i item in
-                  push_acct ~us ~slot:k b2c.(k) acct (i, item, payload);
+                  let out = exec_spec acct !cur read i item in
+                  (match out with
+                  | Ran (writes, _) -> Spec_store.publish store ~iteration:i writes
+                  | Raised _ -> ());
+                  let m = { m_iter = i; m_item = item; m_log = !cur; m_out = out } in
+                  cur := take_log k;
+                  push_acct ~us ~slot:k b2c.(k) acct m;
                   pushed acct b2c.(k) i;
                   loop ()
               in
@@ -470,29 +467,33 @@ let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~n
               for i = 0 to n - 1 do
                 match pop_acct ~us ~slot:(i mod r) b2c.(i mod r) acct with
                 | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
-                | j, item, payload ->
-                  if j <> i then failwith "Runtime.Exec: out-of-order result";
+                | m ->
+                  if m.m_iter <> i then failwith "Runtime.Exec: out-of-order result";
                   popped acct b2c.(i mod r) i;
-                  commit_one acct i item payload
+                  commit_one acct i m.m_item m.m_log m.m_out;
+                  give_log (i mod r) m.m_log
               done;
-              s.Staged.sp_finish ~read:(fun loc -> locked (fun () -> committed loc)) buf
+              s.Staged.sp_finish ~read:read_committed buf
             in
             let role_bc () =
               let acct_b = accts.(1) and acct_c = accts.(2) in
+              let log = Spec_store.log_create () in
+              let read loc = Spec_store.read store log loc in
               let rec loop i =
                 match pop_acct ~us ~slot:0 a2b.(0) acct_b with
                 | exception Spsc.Closed ->
                   if i <> n then failwith "Runtime.Exec: item stream ended early";
-                  s.Staged.sp_finish ~read:(fun loc -> locked (fun () -> committed loc)) buf
+                  s.Staged.sp_finish ~read:read_committed buf
                 | j, item ->
                   if j <> i then failwith "Runtime.Exec: out-of-order item";
                   popped acct_b a2b.(0) i;
-                  let payload = exec_spec acct_b i item in
-                  commit_one acct_c i item payload;
+                  let out = exec_spec acct_b log read i item in
+                  commit_one acct_c i item log out;
                   loop (i + 1)
               in
               loop 0
             in
+            let role_a = role_a s.Staged.sp_produce a2b in
             if fused then [| role_a; role_bc |]
             else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
         in

@@ -16,16 +16,18 @@
     guarantees every role reaches a domain even when a role-chunk lands
     behind a running role in some slot's deque.
 
-    [Spec] pipelines speculate through {!Machine.Versioned_memory}: A
-    opens one version per iteration in logical order, B replicas read
-    pre-iteration state through the versioned store (forwarding from
-    earlier in-flight writes) and buffer their writes, and C validates
-    at commit — every value the iteration read must equal the committed
-    (i.e. sequential) value; a stale read squashes the iteration, which
-    re-executes against committed state on C's domain before its
-    version commits.  Mis-speculation therefore costs time, never
-    correctness, and the squash count is reported in {!stats} rather
-    than in the output bytes (which timing must not influence). *)
+    [Spec] pipelines speculate through a {!Spec_store}, with no lock
+    anywhere on the path: B executes each iteration against the dense
+    committed store (forwarding, when B is replicated, the youngest
+    buffered write of an earlier in-flight iteration), logging every
+    [(location, value)] it reads into a reusable flat buffer, and C —
+    the store's only writer — validates at commit: every value the
+    iteration read must equal the committed (i.e. sequential) value; a
+    stale read squashes the iteration, which re-executes against
+    committed state on C's domain before it commits.  Mis-speculation
+    therefore costs time, never correctness, and the squash count is
+    reported in {!stats} rather than in the output bytes (which timing
+    must not influence). *)
 
 (** Per-role time accounting.  Stall times are measured on the slow
     path only (a pop that found the ring empty, a push that found it
@@ -56,7 +58,12 @@ type stats = {
   replicas : int;  (** B replica count actually used *)
   seconds : float;  (** wall clock of the pipeline section *)
   squashes : int;  (** iterations re-executed after a stale read *)
-  violations : int;  (** violation reports from the versioned memory *)
+  violations : int;
+      (** logged reads that commit-time validation found stale, summed
+          over all iterations; [>= squashes], and [0] exactly when
+          [squashes] is (a squash is caused by at least one stale read).
+          Always [0] at two domains, where the fused B+C role executes
+          against fully committed state. *)
   roles : role_stats array;  (** A, B replicas, C — in that order *)
 }
 
@@ -78,7 +85,7 @@ type role_probe = {
   rp_push_stall : Obs.Hist.t;  (** time blocked pushing a full ring *)
   rp_pop_stall : Obs.Hist.t;  (** time blocked popping an empty ring *)
   rp_squash : Obs.Hist.t;  (** re-execution cost after a stale read *)
-  rp_validate : Obs.Hist.t;  (** versioned-memory commit validation *)
+  rp_validate : Obs.Hist.t;  (** commit-time read-log validation *)
 }
 
 type rings
@@ -131,7 +138,7 @@ val run :
     recorded, no per-item clock is read, and on a Pure pipeline the
     runtime allocates nothing per item beyond the stage bodies' own
     allocation and the [(index, item)] pair (3 words) each queue hop
-    carries.
+    carries.  On a Spec pipeline a speculative read allocates nothing.
     [?span_registry] receives per-role busy/starved/blocked aggregates
     under ["real/<name>/<role>"].  If a stage body raises, all queues
     are poisoned, every role unwinds, and the first exception is

@@ -263,7 +263,7 @@ let annealing ~salt ~blocks:nb ~grid:w ~nets:nn ~net_span ~cands ~iterations:n =
         net)
     nets;
   let encode x y = (x * w) + y in
-  let init = List.init nb (fun b -> (b, encode (b mod w) (b / w mod w))) in
+  let init = Array.init nb (fun b -> encode (b mod w) (b / w mod w)) in
   let net_cost read ~moved ~at ni =
     let minx = ref max_int and maxx = ref min_int in
     let miny = ref max_int and maxy = ref min_int in

@@ -8,7 +8,7 @@ type ('i, 'r) stages = {
 
 type ('i, 'r) spec_stages = {
   sp_iterations : int;
-  sp_init : (int * int) list;
+  sp_init : int array;
   sp_produce : int -> 'i;
   sp_exec : read:(int -> int) -> 'i -> (int * int) list * 'r;
   sp_consume : Buffer.t -> int -> 'r -> unit;
@@ -48,13 +48,12 @@ let run_seq t =
     done;
     s.finish buf
   | Spec s ->
-    let store = Hashtbl.create 64 in
-    List.iter (fun (loc, v) -> Hashtbl.replace store loc v) s.sp_init;
-    let read loc = Option.value ~default:0 (Hashtbl.find_opt store loc) in
+    let store = Array.copy s.sp_init in
+    let read loc = store.(loc) in
     for i = 0 to s.sp_iterations - 1 do
       let item = s.sp_produce i in
       let writes, r = s.sp_exec ~read item in
-      List.iter (fun (loc, v) -> Hashtbl.replace store loc v) writes;
+      List.iter (fun (loc, v) -> store.(loc) <- v) writes;
       s.sp_consume buf i r
     done;
     s.sp_finish ~read buf);

@@ -10,7 +10,7 @@
       fresh value of {!t} must be built per run.
     - {b B} ([transform] / [sp_exec]): the replicable parallel stage.
       Pure in the [Pure] case; in the [Spec] case it may read and write
-      a shared integer store through the speculation protocol
+      a shared dense integer store through the speculation protocol
       ({!Exec}) — reads see pre-iteration state, writes apply at commit,
       exactly the versioned-memory semantics of the paper.
     - {b C} ([consume]): the sequential in-order consume stage, folding
@@ -30,14 +30,18 @@ type ('i, 'r) stages = {
 
 type ('i, 'r) spec_stages = {
   sp_iterations : int;
-  sp_init : (int * int) list;  (** initial committed (location, value) store *)
+  sp_init : int array;
+      (** Initial committed store.  Locations are its indices: a read or
+          write of a location outside [0 .. Array.length sp_init - 1]
+          raises [Invalid_argument] (once validation has shown the
+          access is not an artefact of a stale speculative read). *)
   sp_produce : int -> 'i;
   sp_exec : read:(int -> int) -> 'i -> (int * int) list * 'r;
-      (** Stage B body: reads pre-iteration shared state through [read]
-          (unknown locations read as 0), returns the (location, value)
-          writes to commit plus the result payload.  Must be a pure
-          function of the item and the values [read] returned — it may
-          be re-executed after a mis-speculation squash. *)
+      (** Stage B body: reads pre-iteration shared state through [read],
+          returns the (location, value) writes to commit, applied in
+          list order, plus the result payload.  Must be a pure function
+          of the item and the values [read] returned — it may be
+          re-executed after a mis-speculation squash. *)
   sp_consume : Buffer.t -> int -> 'r -> unit;
   sp_finish : read:(int -> int) -> Buffer.t -> unit;
       (** May inspect the final committed store. *)

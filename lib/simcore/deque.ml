@@ -1,8 +1,15 @@
-type 'a t = { mutable front : 'a list; mutable back : 'a list; mutable len : int }
+type 'a t = {
+  mutable front : 'a list;
+  mutable back : 'a list;
+  mutable len : int;
+  mutable walked : int;  (* list cells traversed, for [walked] *)
+}
 
-let create () = { front = []; back = []; len = 0 }
+let create () = { front = []; back = []; len = 0; walked = 0 }
 
 let length d = d.len
+
+let walked d = d.walked
 
 let is_empty d = d.len = 0
 
@@ -19,6 +26,7 @@ let push_front d x =
 let normalize d =
   match d.front with
   | [] ->
+    d.walked <- d.walked + d.len;
     d.front <- List.rev d.back;
     d.back <- []
   | _ :: _ -> ()
@@ -40,6 +48,7 @@ let pop_front d =
 let normalize_back d =
   match d.back with
   | [] ->
+    d.walked <- d.walked + d.len;
     d.back <- List.rev d.front;
     d.front <- []
   | _ :: _ -> ()
@@ -62,4 +71,6 @@ let clear d =
   d.back <- [];
   d.len <- 0
 
-let to_list d = d.front @ List.rev d.back
+let to_list d =
+  d.walked <- d.walked + d.len;
+  d.front @ List.rev d.back

@@ -11,6 +11,12 @@ type 'a t
 val create : unit -> 'a t
 
 val length : 'a t -> int
+(** O(1): walks no list. *)
+
+val walked : 'a t -> int
+(** List cells the deque has traversed so far: reversing one end's list
+    into the other when that end runs dry, and {!to_list}.  A
+    deterministic cost count, which tests bound instead of timing. *)
 
 val is_empty : 'a t -> bool
 

@@ -232,6 +232,17 @@ if ! tail -n 1 BENCH_history.jsonl | grep -q '"real"'; then
   exit 1
 fi
 
+# Spec-path smoke: 175.vpr and 300.twolf speculate through the runtime's
+# speculative store (lock-free reads, commit-time validation, squash and
+# re-execute, forwarding between replicated B stages at 4 domains); their
+# parallel outputs must be byte-identical at 1..4 domains.
+for b in 175.vpr 300.twolf; do
+  if ! dune exec bin/repro.exe -- validate-real -b "$b" -t 4 -s small > /dev/null; then
+    echo "check.sh: validate-real on the Spec path failed for $b" >&2
+    exit 1
+  fi
+done
+
 # Runtime smoke on the benchmark's real-fine workload: 15 synthetic
 # pipelines (the 11 registry PDGs plus seeded random PDGs) run on real
 # domains, each output byte-checked against an independent reference.
@@ -244,6 +255,20 @@ if ! python3 -c 'import json,sys
 d = json.loads(sys.argv[1])
 assert d["correct"] is True and d["failed"] == 0, d' "$fine_out"; then
   echo "check.sh: real-fine runtime smoke failed: $fine_out" >&2
+  exit 1
+fi
+
+# The same on the real-apps workload: the 11 Real_bench kernels at
+# medium scale, vpr and twolf on the Spec path, each parallel output
+# byte-checked against run_seq.
+apps_out="$(python3 perfbench/run.py --workload real-apps --seed 1 --seconds 3 --trace 0 | tail -n 1)" || {
+  echo "check.sh: real-apps runtime smoke did not run to completion" >&2
+  exit 1
+}
+if ! python3 -c 'import json,sys
+d = json.loads(sys.argv[1])
+assert d["correct"] is True and d["failed"] == 0, d' "$apps_out"; then
+  echo "check.sh: real-apps runtime smoke failed: $apps_out" >&2
   exit 1
 fi
 
@@ -336,5 +361,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + real-fine runtime smoke + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + Spec-path validate-real smoke + real-fine and real-apps runtime smokes + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -288,7 +288,7 @@ let conflict_staged () =
   Staged.Spec
     {
       Staged.sp_iterations = 64;
-      sp_init = [ (0, 1) ];
+      sp_init = [| 1 |];
       sp_produce = (fun i -> i);
       sp_exec =
         (fun ~read i ->
@@ -321,6 +321,106 @@ let spec_benches_squash_and_match () =
       Alcotest.(check bool) (name ^ " byte-identical with speculation") true
         (r.Exec.output = seq))
     [ "175.vpr"; "300.twolf" ]
+
+(* The forwarding rule of replicated B: a read of iteration [i] sees
+   the youngest published write of an iteration before [i] — never
+   [i]'s own, never a later in-flight iteration's — and committed state
+   once the writers retire.  Iterations publish out of order, as
+   replicas finish out of order. *)
+let forwarding_sees_youngest_earlier_write () =
+  let module S = Runtime.Spec_store in
+  let st = S.create ~forwarding:true [| 10; 11 |] in
+  S.publish st ~iteration:7 [ (0, 70) ];
+  S.publish st ~iteration:3 [ (0, 30) ];
+  S.publish st ~iteration:5 [ (0, 50); (1, 51); (0, 55) ];
+  let sees iteration loc = S.forward st ~iteration loc in
+  Alcotest.(check int) "no earlier writer: committed" 10 (sees 3 0);
+  Alcotest.(check int) "only earlier writer" 30 (sees 4 0);
+  Alcotest.(check int) "own write invisible" 30 (sees 5 0);
+  Alcotest.(check int) "youngest earlier, last write of its list" 55 (sees 6 0);
+  Alcotest.(check int) "youngest of all" 70 (sees 100 0);
+  Alcotest.(check int) "other location" 51 (sees 6 1);
+  Alcotest.(check int) "later writer invisible" 11 (sees 5 1);
+  S.commit st [ (0, 31) ];
+  S.retire st ~iteration:3 [ (0, 30) ];
+  Alcotest.(check int) "retired writer reads committed" 31 (sees 4 0);
+  Alcotest.(check int) "younger writers still forward" 55 (sees 6 0);
+  S.publish st ~iteration:9 [ (5, 1); (-1, 1) ];
+  Alcotest.(check int) "out-of-range speculative writes skipped" 70 (sees 10 0);
+  Alcotest.check_raises "out-of-range read" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (sees 10 2));
+  let plain = S.create ~forwarding:false [| 10 |] in
+  S.publish plain ~iteration:0 [ (0, 1) ];
+  Alcotest.(check int) "without forwarding reads committed" 10 (S.forward plain ~iteration:1 0)
+
+(* Locations are indices of [sp_init]: an access outside it raises
+   [Invalid_argument] in the sequential reference and, once validation
+   has shown the access is genuine, on every parallel layout. *)
+let out_of_range_location_raises () =
+  let staged () =
+    Staged.Spec
+      {
+        Staged.sp_iterations = 20;
+        sp_init = [| 0; 0 |];
+        sp_produce = (fun i -> i);
+        sp_exec = (fun ~read i -> ([ (0, i) ], read (if i = 13 then 2 else 1)));
+        sp_consume = (fun _ _ _ -> ());
+        sp_finish = (fun ~read:_ _ -> ());
+      }
+  in
+  let raises label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (label ^ ": an out-of-range read must raise Invalid_argument")
+  in
+  raises "run_seq" (fun () -> Staged.run_seq (staged ()));
+  List.iter
+    (fun threads ->
+      raises (Printf.sprintf "%d threads" threads) (fun () ->
+          (Exec.run ~threads ~name:"range" (staged ())).Exec.output))
+    [ 2; 3; 4 ]
+
+(* A speculative read allocates nothing: with probing off, a Spec
+   pipeline doing 1,000 reads per iteration costs the runtime's pool as
+   many minor words per iteration as one doing 10, up to the read log's
+   one-off growth (a few thousand words over the run).  Iteration
+   bodies keep their own allocation constant: one write and the result
+   pair. *)
+let reads_staged ~reads n =
+  Staged.Spec
+    {
+      Staged.sp_iterations = n;
+      sp_init = Array.make 16 1;
+      sp_produce = (fun i -> i);
+      sp_exec =
+        (fun ~read i ->
+          let acc = ref i in
+          for k = 0 to reads - 1 do
+            acc := !acc + read (k land 15)
+          done;
+          ([ (i land 15, !acc land 0xffff) ], 0));
+      sp_consume = (fun _ _ _ -> ());
+      sp_finish = (fun ~read:_ _ -> ());
+    }
+
+let spec_reads_allocate_nothing () =
+  let n = 2_000 in
+  Parallel.Pool.with_pool ~domains:2 (fun pool ->
+      let words () =
+        Array.fold_left ( +. ) 0. (Parallel.Pool.stats pool).Parallel.Pool.stat_minor_words
+      in
+      let per_iteration reads =
+        let w0 = words () in
+        ignore (Exec.run ~pool ~threads:2 ~name:"reads" (reads_staged ~reads n));
+        (words () -. w0) /. float_of_int n
+      in
+      ignore (per_iteration 10);
+      let few = per_iteration 10 and many = per_iteration 1_000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f words per iteration at 1000 reads vs %.2f at 10 (<= 4 apart)" many
+           few)
+        true
+        (Float.abs (many -. few) <= 4.))
 
 (* ------------------------------------------------------------------ *)
 (* The validate-real harness itself                                    *)
@@ -568,6 +668,11 @@ let () =
             speculation_squashes_and_recovers;
           Alcotest.test_case "spec benches match with speculation" `Quick
             spec_benches_squash_and_match;
+          Alcotest.test_case "forwarding sees youngest earlier write" `Quick
+            forwarding_sees_youngest_earlier_write;
+          Alcotest.test_case "out-of-range location raises" `Quick
+            out_of_range_location_raises;
+          Alcotest.test_case "spec reads allocate nothing" `Quick spec_reads_allocate_nothing;
         ] );
       ( "probe",
         [

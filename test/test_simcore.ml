@@ -238,25 +238,32 @@ let deque_pop_back () =
   Alcotest.(check (option int)) "drained" None (Simcore.Deque.pop_back d)
 
 (* The thief's steal-half loop calls [length] on every victim it probes;
-   that only works if length is O(1), not a list traversal.  Time 1M
-   length calls against a 200k-element deque — a linear implementation
-   would take minutes, O(1) takes milliseconds; the bound is generous
-   enough to never flake on a loaded box. *)
+   that only works if length is O(1), not a list traversal.  The cost is
+   counted, not timed: 1M length calls against a 200k-element deque may
+   walk at most one list cell per call, where a linear implementation
+   walks 200k per call (the loop stops as soon as the budget is blown,
+   so a linear implementation fails fast). *)
 let deque_length_is_o1 () =
   let d = Simcore.Deque.create () in
   for i = 1 to 200_000 do
     Simcore.Deque.push_back d i
   done;
-  let t0 = Unix.gettimeofday () in
-  let acc = ref 0 in
-  for _ = 1 to 1_000_000 do
-    acc := !acc + Simcore.Deque.length d
+  let budget = 1_000_000 in
+  let w0 = Simcore.Deque.walked d in
+  let calls = ref 0 and acc = ref 0 in
+  while !calls < 1_000_000 && Simcore.Deque.walked d - w0 <= budget do
+    acc := !acc + Simcore.Deque.length d;
+    incr calls
   done;
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "sum consistent" true (!acc = 1_000_000 * 200_000);
+  let walked = Simcore.Deque.walked d - w0 in
   Alcotest.(check bool)
-    (Printf.sprintf "1M length calls on a 200k deque in %.3fs (< 1s => O(1))" dt)
-    true (dt < 1.0)
+    (Printf.sprintf "%d length calls on a 200k deque walked %d list cells (<= 1M => O(1))"
+       !calls walked)
+    true (walked <= budget);
+  Alcotest.(check bool) "sum consistent" true (!acc = 1_000_000 * 200_000);
+  ignore (Simcore.Deque.pop_front d);
+  Alcotest.(check int) "the first pop walks the tail list once" (w0 + 200_000)
+    (Simcore.Deque.walked d)
 
 (* ------------------------------------------------------------------ *)
 (* Ring                                                                *)
