@@ -488,15 +488,9 @@ let write_obs_summary () =
   let gzip = study "164.gzip" in
   let profile = gzip.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
   let built = Core.Framework.build ~plan:gzip.Benchmarks.Study.plan profile in
-  let metrics = Obs.Metrics.create ~sampling:true () in
-  List.iter
-    (function
-      | Sim.Input.Serial _ -> ()
-      | Sim.Input.Parallel loop ->
-        ignore
-          (Sim.Pipeline.run_loop (Machine.Config.default ~cores:16) ~metrics loop))
-    built.Core.Framework.input.Sim.Input.segments;
-  let snap = Obs.Metrics.snapshot metrics in
+  let metrics =
+    Sim.Pipeline.metrics (Machine.Config.default ~cores:16) built.Core.Framework.input
+  in
   let spans = Obs.Span.snapshot Obs.Span.default in
   let extra =
     [
@@ -504,8 +498,8 @@ let write_obs_summary () =
       ("calibration", Obs.Json.Arr (calibration_blocks ()));
     ]
   in
-  Obs.Summary.write_json ~metrics:snap ~spans ~extra (bench_path "BENCH_summary.json");
-  Obs.Summary.write_csv ~metrics:snap ~spans (bench_path "BENCH_summary.csv")
+  Obs.Summary.write_json ~metrics ~spans ~extra (bench_path "BENCH_summary.json");
+  Obs.Summary.write_csv ~metrics ~spans (bench_path "BENCH_summary.csv")
 
 (* ------------------------------------------------------------------ *)
 (* Bench history (JSONL, appended every run)                           *)

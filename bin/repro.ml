@@ -68,25 +68,15 @@ let summary_arg =
   Arg.(value & opt (some string) None
        & info [ "summary" ] ~docv:"FILE"
            ~doc:"Write an $(b,Obs.Summary) of the run — simulator counters, queue \
-                 gauges and occupancy series from one instrumented simulation at the \
-                 study's paper thread count — to $(docv). A .csv suffix selects the \
-                 flat CSV table; anything else gets JSON. Independent of --trace: no \
-                 event stream is recorded.")
+                 gauges and occupancy series, decoded from the event stream of one \
+                 recorded simulation at the study's paper thread count — to $(docv). \
+                 A .csv suffix selects the flat CSV table; anything else gets JSON. \
+                 Independent of --trace, which records its own whole-program stream.")
 
-(* Re-simulate once with a metrics registry (no event sink) and dump the
-   counters/gauges/series. *)
 let write_summary ~threads input file =
-  let metrics = Obs.Metrics.create ~sampling:true () in
-  List.iter
-    (function
-      | Sim.Input.Serial _ -> ()
-      | Sim.Input.Parallel loop ->
-        ignore
-          (Sim.Pipeline.run_loop (Machine.Config.default ~cores:threads) ~metrics loop))
-    input.Sim.Input.segments;
-  let snap = Obs.Metrics.snapshot metrics in
-  if Filename.check_suffix file ".csv" then Obs.Summary.write_csv ~metrics:snap file
-  else Obs.Summary.write_json ~metrics:snap file;
+  let metrics = Sim.Pipeline.metrics (Machine.Config.default ~cores:threads) input in
+  if Filename.check_suffix file ".csv" then Obs.Summary.write_csv ~metrics file
+  else Obs.Summary.write_json ~metrics file;
   Format.eprintf "summary: written to %s@." file
 
 let find_study name =

@@ -1,13 +1,69 @@
-let metrics_json (s : Metrics.snapshot) =
+type metrics = {
+  counters : (string * int) list;
+  gauges : (string * (int * int)) list;
+  series : (string * (int * int) list) list;
+}
+
+let no_metrics = { counters = []; gauges = []; series = [] }
+
+let decode ~slots ~misspec_delayed ~squashes events =
+  let busy = Array.make 3 0 in
+  (* task -> (phase index, work) of its latest start: a squash withdraws
+     the part of that run the core never executed. *)
+  let started = Hashtbl.create 256 in
+  let last = Array.make 2 0 and high = Array.make 2 0 in
+  let samples = Array.init 2 (fun _ -> Array.make slots []) in
+  let occupancy time queue slot occ =
+    let q = match queue with Event.In_queue -> 0 | Event.Out_queue -> 1 in
+    last.(q) <- occ;
+    if occ > high.(q) then high.(q) <- occ;
+    samples.(q).(slot) <- (time, occ) :: samples.(q).(slot)
+  in
+  List.iter
+    (function
+      | Event.Task_start { task; phase; work; _ } ->
+        let p = match phase with 'A' -> 0 | 'B' -> 1 | _ -> 2 in
+        busy.(p) <- busy.(p) + work;
+        Hashtbl.replace started task (p, work)
+      | Event.Task_squash { task; elapsed; _ } ->
+        let p, work = Hashtbl.find started task in
+        busy.(p) <- busy.(p) - (work - elapsed)
+      | Event.Queue_push { time; queue; slot; occupancy = occ; _ }
+      | Event.Queue_pop { time; queue; slot; occupancy = occ; _ } ->
+        occupancy time queue slot occ
+      | _ -> ())
+    events;
+  let series q name =
+    List.init slots (fun s -> (Printf.sprintf "%s/%d" name s, List.rev samples.(q).(s)))
+  in
+  {
+    counters =
+      [
+        ("busy/A", busy.(0));
+        ("busy/B", busy.(1));
+        ("busy/C", busy.(2));
+        ("misspec_delayed", misspec_delayed);
+        ("squashes", squashes);
+      ];
+    gauges =
+      [
+        ("in_queue_occupancy", (last.(0), high.(0)));
+        ("out_queue_occupancy", (last.(1), high.(1)));
+      ];
+    series =
+      List.sort (fun (a, _) (b, _) -> compare a b) (series 0 "in_queue" @ series 1 "out_queue");
+  }
+
+let metrics_json m =
   Json.Obj
     [
-      ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.Metrics.snap_counters));
+      ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) m.counters));
       ( "gauges",
         Json.Obj
           (List.map
              (fun (n, (v, h)) ->
                (n, Json.Obj [ ("value", Json.Int v); ("high_water", Json.Int h) ]))
-             s.Metrics.snap_gauges) );
+             m.gauges) );
       ( "series",
         Json.Obj
           (List.map
@@ -15,7 +71,7 @@ let metrics_json (s : Metrics.snapshot) =
                ( n,
                  Json.Arr
                    (List.map (fun (t, v) -> Json.Arr [ Json.Int t; Json.Int v ]) pts) ))
-             s.Metrics.snap_series) );
+             m.series) );
     ]
 
 let span_json (r : Span.row) =
@@ -50,14 +106,14 @@ let to_csv ?metrics ?(spans = []) () =
   Buffer.add_char buf '\n';
   (match metrics with
   | None -> ()
-  | Some (s : Metrics.snapshot) ->
+  | Some m ->
     List.iter
       (fun (n, v) -> Buffer.add_string buf (Printf.sprintf "counter,%s,%d,,,,,\n" (csv_escape n) v))
-      s.Metrics.snap_counters;
+      m.counters;
     List.iter
       (fun (n, (v, h)) ->
         Buffer.add_string buf (Printf.sprintf "gauge,%s,%d,%d,,,,\n" (csv_escape n) v h))
-      s.Metrics.snap_gauges);
+      m.gauges);
   List.iter
     (fun (r : Span.row) ->
       Buffer.add_string buf

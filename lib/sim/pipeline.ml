@@ -286,7 +286,7 @@ and slot_seen = 10
 and slot_gating = 11
 
 let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
-    ?(obs = Obs.Sink.null) ?metrics (loop : Input.loop) =
+    ?(obs = Obs.Sink.null) (loop : Input.loop) =
   let n = cfg.Machine.Config.cores in
   let ntasks = Array.length loop.Input.tasks in
   if n <= 1 || ntasks = 0 then sequential_result cfg ~obs loop
@@ -349,29 +349,12 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
          then 1
          else 0)
     done;
-    (* Metrics registry: the run's counters/gauges live here instead of
-       ad-hoc refs, so an exporter can snapshot them by name.  Handles
-       are bound once; bumping one is a mutable-field write, no lookup
-       in the hot path. *)
-    let metrics = match metrics with Some mx -> mx | None -> Obs.Metrics.create () in
-    let misspec_delayed = Obs.Metrics.counter metrics "misspec_delayed" in
-    let squash_count = Obs.Metrics.counter metrics "squashes" in
-    let busy_a = Obs.Metrics.counter metrics "busy/A" in
-    let busy_b = Obs.Metrics.counter metrics "busy/B" in
-    let busy_c = Obs.Metrics.counter metrics "busy/C" in
-    let busy_of_phase tid =
-      match t_phase.(tid) with 0 -> busy_a | 1 -> busy_b | _ -> busy_c
-    in
-    let in_gauge = Obs.Metrics.gauge metrics "in_queue_occupancy" in
-    let out_gauge = Obs.Metrics.gauge metrics "out_queue_occupancy" in
-    let occ_series =
-      if Obs.Metrics.sampling metrics then
-        Some
-          ( Array.init m (fun s -> Obs.Metrics.series metrics (Printf.sprintf "in_queue/%d" s)),
-            Array.init m (fun s -> Obs.Metrics.series metrics (Printf.sprintf "out_queue/%d" s))
-          )
-      else None
-    in
+    (* This run's counts: per-run locals, so a result depends only on
+       (config, policy, loop). *)
+    let misspec_delayed = ref 0 in
+    let squash_count = ref 0 in
+    let in_high = ref 0 in
+    let out_high = ref 0 in
     let observing = Obs.Sink.enabled obs in
     let a_running = ref false in
     let c_running = ref false in
@@ -417,21 +400,12 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
     let events = scratch.events in
     Simcore.Iheap.clear events;
     let now = ref 0 in
-    (* Occupancy bookkeeping: the gauges carry the high-water marks the
-       result reports; series (when sampling) and queue events (when a
-       sink listens) ride along on the same call. *)
-    let note_in_occ slot =
-      Obs.Metrics.observe in_gauge in_occ.(slot);
-      match occ_series with
-      | Some (in_s, _) -> Obs.Metrics.sample in_s.(slot) ~time:!now in_occ.(slot)
-      | None -> ()
-    in
-    let note_out_occ slot =
-      Obs.Metrics.observe out_gauge out_occ.(slot);
-      match occ_series with
-      | Some (_, out_s) -> Obs.Metrics.sample out_s.(slot) ~time:!now out_occ.(slot)
-      | None -> ()
-    in
+    (* Occupancy high-water marks.  Every call is paired with a
+       Queue_push/Queue_pop event at the same [!now], so a recorded
+       stream carries the same occupancy samples
+       (Obs.Summary.decode). *)
+    let note_in_occ slot = if in_occ.(slot) > !in_high then in_high := in_occ.(slot) in
+    let note_out_occ slot = if out_occ.(slot) > !out_high then out_high := out_occ.(slot) in
     let push_finish tid =
       Simcore.Iheap.add events ~prio:finish_time.(tid) tid generation.(tid)
     in
@@ -492,7 +466,6 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
       start_time.(tid) <- t;
       finish_time.(tid) <- t + t_work.(tid);
       busy.(core) <- busy.(core) + t_work.(tid);
-      Obs.Metrics.add (busy_of_phase tid) t_work.(tid);
       if observing then
         Obs.Sink.emit obs
           (Obs.Event.Task_start
@@ -514,7 +487,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
        through a gating edge. *)
     let rec squash tid =
       if start_time.(tid) >= 0 && committed.(t_iter.(tid)) = 0 then begin
-        Obs.Metrics.incr squash_count;
+        incr squash_count;
         generation.(tid) <- generation.(tid) + 1;
         for k = sd.out_off.(tid) to sd.out_off.(tid + 1) - 1 do
           let dst = sd.e_dst.(sd.out_idx.(k)) in
@@ -531,7 +504,6 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
                would exceed the span. *)
             let elapsed = !now - start_time.(tid) in
             busy.(core) <- busy.(core) - (t_work.(tid) - elapsed);
-            Obs.Metrics.add (busy_of_phase tid) (-(t_work.(tid) - elapsed));
             if observing then
               Obs.Sink.emit obs
                 (Obs.Event.Task_squash { time = !now; task = tid; core; elapsed });
@@ -654,7 +626,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
                 Obs.Sink.emit obs (Obs.Event.Iter_commit { time = !now; iteration = i });
               incr c_next;
               if c_tid >= 0 then begin
-                if t > t_nonspec then Obs.Metrics.incr misspec_delayed;
+                if t > t_nonspec then incr misspec_delayed;
                 start_task c_tid c_core !now;
                 core_free.(c_core) <- finish_time.(c_tid);
                 if t_work.(c_tid) > 0 then c_running := true
@@ -711,7 +683,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
                      });
               (* enq_work keeps counting the running task until it
                  finishes: dispatch balances on outstanding work. *)
-              if t > t_nonspec then Obs.Metrics.incr misspec_delayed;
+              if t > t_nonspec then incr misspec_delayed;
               start_task tid b_cores.(slot) !now;
               core_free.(b_cores.(slot)) <- finish_time.(tid);
               b_running.(slot) <- tid;
@@ -804,7 +776,7 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
               false
             end
             else begin
-              if t > t_nonspec then Obs.Metrics.incr misspec_delayed;
+              if t > t_nonspec then incr misspec_delayed;
               start_task a_tid a_core !now;
               core_free.(a_core) <- finish_time.(a_tid);
               a_running := true;
@@ -923,18 +895,18 @@ let simulate_loop (cfg : Machine.Config.t) ?(policy = default_policy)
     {
       span = !span;
       busy;
-      misspec_delayed = Obs.Metrics.value misspec_delayed;
-      squashes = Obs.Metrics.value squash_count;
-      in_queue_high_water = Obs.Metrics.high_water in_gauge;
-      out_queue_high_water = Obs.Metrics.high_water out_gauge;
+      misspec_delayed = !misspec_delayed;
+      squashes = !squash_count;
+      in_queue_high_water = !in_high;
+      out_queue_high_water = !out_high;
       b_tasks_per_core = b_done_count;
       schedule;
     }
   end
 
-let run_loop (cfg : Machine.Config.t) ?(policy = default_policy) ?validate ?obs ?metrics
+let run_loop (cfg : Machine.Config.t) ?(policy = default_policy) ?validate ?obs
     (loop : Input.loop) =
-  let r = simulate_loop cfg ~policy ?obs ?metrics loop in
+  let r = simulate_loop cfg ~policy ?obs loop in
   let validate = match validate with Some v -> v | None -> !validate_default in
   if validate then Oracle.validate_exn cfg ~policy loop r;
   r
@@ -963,6 +935,28 @@ let run cfg ?(policy = default_policy) ?validate ?(obs = Obs.Sink.null) (input :
       0 input.Input.segments
   in
   { total_time = total; sequential_time = seq; loops = List.rev !loops }
+
+let metrics cfg (input : Input.t) =
+  let recorder = Obs.Sink.recorder () in
+  let obs = Obs.Sink.record recorder in
+  let results =
+    List.filter_map
+      (function
+        | Input.Serial _ -> None | Input.Parallel loop -> Some (run_loop cfg ~obs loop))
+      input.Input.segments
+  in
+  (* A sequential run (one core, or no tasks) has no B slots and its
+     events are not the pipeline's: it reports nothing. *)
+  let slots =
+    List.fold_left (fun acc r -> max acc (Array.length r.b_tasks_per_core)) 0 results
+  in
+  if slots = 0 then Obs.Summary.no_metrics
+  else
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+    Obs.Summary.decode ~slots
+      ~misspec_delayed:(sum (fun r -> r.misspec_delayed))
+      ~squashes:(sum (fun r -> r.squashes))
+      (Obs.Sink.events recorder)
 
 let speedup r =
   if r.total_time = 0 then 1.0

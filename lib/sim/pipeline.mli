@@ -74,22 +74,25 @@ val run_loop :
   ?policy:policy ->
   ?validate:bool ->
   ?obs:Obs.Sink.t ->
-  ?metrics:Obs.Metrics.t ->
   Input.loop ->
   loop_result
 (** [?obs] (default {!Obs.Sink.null}) receives the run's structured
     events — task start/finish/squash, iteration commits, queue
     push/pop with occupancy, dispatch and wake — with loop-local times;
-    the null sink costs one branch per site and no allocation.
-    [?metrics] names the registry that accumulates the run's counters
-    (misspec_delayed, squashes, busy/A..C) and queue-occupancy gauges;
-    with a sampling registry, per-slot occupancy time series are
-    recorded too.  Omitted, a private registry is used and discarded. *)
+    the null sink costs one branch per site and no allocation.  The
+    result depends only on the config, the policy and the loop. *)
 
 val run :
   Machine.Config.t -> ?policy:policy -> ?validate:bool -> ?obs:Obs.Sink.t -> Input.t -> result
 (** Loops' events are rebased to program time and bracketed by
     [Loop_begin]/[Loop_end], so one sink observes the whole program. *)
+
+val metrics : Machine.Config.t -> Input.t -> Obs.Summary.metrics
+(** Re-simulate every parallel loop of the input (default policy) into
+    one recording sink and decode the summary view from the events
+    ({!Obs.Summary.decode}); [misspec_delayed] and [squashes] are summed
+    over the loop results.  {!Obs.Summary.no_metrics} when the config
+    runs sequentially. *)
 
 val speedup : result -> float
 (** [sequential_time / total_time]; 1.0 for an empty program. *)

@@ -80,6 +80,29 @@ trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad"' EXIT
 SIM_TRACE="$trace_tmp" dune exec bin/repro.exe -- run -b 164.gzip -s small > /dev/null 2>&1
 dune exec scripts/validate_trace.exe -- "$trace_tmp"
 
+# Summary smoke: `repro run --summary` decodes the simulator's event
+# stream into counters, gauges and occupancy series.  The JSON must
+# parse with all three blocks and a real in-queue high-water mark; the
+# CSV must open with Obs.Summary.csv_header.
+summary_json="$(mktemp -t summary.XXXXXX.json)"
+summary_csv="$(mktemp -t summary.XXXXXX.csv)"
+trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$summary_json" "$summary_csv"' EXIT
+dune exec bin/repro.exe -- run -b 175.vpr -s small --summary "$summary_json" > /dev/null 2>&1
+dune exec bin/repro.exe -- run -b 175.vpr -s small --summary "$summary_csv" > /dev/null 2>&1
+if ! python3 -c 'import json,sys
+m = json.load(open(sys.argv[1]))["metrics"]
+assert {"counters", "gauges", "series"} <= set(m), list(m)
+assert m["gauges"]["in_queue_occupancy"]["high_water"] >= 1, m["gauges"]' "$summary_json"; then
+  echo "check.sh: repro run --summary wrote an invalid JSON summary" >&2
+  exit 1
+fi
+summary_header='kind,name,value,high_water,count,total_seconds,mean_seconds,max_seconds'
+if [[ "$(head -n 1 "$summary_csv")" != "$summary_header" ]]; then
+  echo "check.sh: repro run --summary CSV does not start with the Obs.Summary header:" >&2
+  head -n 1 "$summary_csv" >&2
+  exit 1
+fi
+
 # Static-analysis gate: every registry benchmark's shipped (PDG, plan,
 # profile) triple must lint clean — plan soundness, annotation hygiene,
 # and the happens-before race replay of its access logs.
@@ -158,9 +181,12 @@ done
 rm -f "$lint_json" "$audit_json"
 
 # Perf-regression gate: the bench smokes above appended to
-# BENCH_history.jsonl; fail if the last two entries show a span or
-# speedup regression beyond BENCH_TOLERANCE (default 2%).  Exit codes:
-# 0 = ok, 1 = regression, 2 = usage/input error.
+# BENCH_history.jsonl; fail if the newest entry shows a span or speedup
+# regression beyond BENCH_TOLERANCE (default 2%) against the newest
+# entry from a different revision (same config digest preferred) — the
+# same-revision jobs=1/jobs=N pair is equal by construction.  Exit
+# codes: 0 = ok / no other revision, 1 = regression, 2 = usage/input
+# error.
 dune exec scripts/compare_bench.exe -- BENCH_history.jsonl
 
 # Anti-scaling gate: the newest jobs>1 entry must not be more than
@@ -178,15 +204,28 @@ elif [[ "$scaling_code" -ne 0 ]]; then
   exit "$scaling_code"
 fi
 
-# Gate self-test on throwaway copies: a duplicated entry must pass, and
-# an entry with every span inflated 10x must trip the gate.
+# Gate self-test on throwaway copies with crafted revisions X and Y:
+# the same numbers at a new revision must pass; a history holding one
+# revision only has nothing to compare; and a revision Y whose spans
+# grew 10x must trip the gate even though its own jobs=1/jobs=4 pair
+# agrees — the baseline is revision X, never the same-revision twin.
 last_entry="$(tail -n 1 BENCH_history.jsonl)"
-printf '%s\n%s\n' "$last_entry" "$last_entry" > "$hist_tmp"
+at_rev() { sed "s/\"rev\":\"[^\"]*\"/\"rev\":\"$1\"/; s/\"jobs\":[0-9]*/\"jobs\":$2/" <<< "$last_entry"; }
+printf '%s\n%s\n' "$(at_rev selftest-x 1)" "$(at_rev selftest-y 1)" > "$hist_tmp"
 dune exec scripts/compare_bench.exe -- "$hist_tmp" > /dev/null
-printf '%s\n' "$last_entry" > "$hist_bad"
-printf '%s\n' "$last_entry" | sed 's/"span": */"span":9/g' >> "$hist_bad"
+printf '%s\n%s\n' "$(at_rev selftest-y 1)" "$(at_rev selftest-y 4)" > "$hist_tmp"
+one_rev="$(dune exec scripts/compare_bench.exe -- "$hist_tmp")"
+if ! grep -q 'nothing to compare' <<< "$one_rev"; then
+  echo "check.sh: compare_bench compared two entries of the same revision" >&2
+  exit 1
+fi
+{
+  at_rev selftest-x 1
+  at_rev selftest-y 1 | sed 's/"span":\([0-9]*\)/"span":\10/g'
+  at_rev selftest-y 4 | sed 's/"span":\([0-9]*\)/"span":\10/g'
+} > "$hist_bad"
 if dune exec scripts/compare_bench.exe -- "$hist_bad" > /dev/null 2>&1; then
-  echo "check.sh: compare_bench failed to flag an inflated span" >&2
+  echo "check.sh: compare_bench failed to flag a revision whose spans grew 10x" >&2
   exit 1
 fi
 
@@ -217,7 +256,7 @@ rm -f "$hist_scale"
 # counters.
 vr_trace="$(mktemp -t vr_trace.XXXXXX.json)"
 vr_trace_t2="${vr_trace%.json}-t2.json"
-trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$vr_trace" "$vr_trace_t2"' EXIT
+trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$summary_json" "$summary_csv" "$vr_trace" "$vr_trace_t2"' EXIT
 hist_len_before="$(wc -l < BENCH_history.jsonl)"
 dune exec bin/repro.exe -- validate-real -b 164.gzip -t 2 -s small \
   --history BENCH_history.jsonl --trace "$vr_trace" > /dev/null
@@ -320,7 +359,7 @@ fi
 prof_trace="$(mktemp -t prof_trace.XXXXXX.json)"
 prof_dump="$(mktemp -t prof_dump.XXXXXX.json)"
 prof_out="$(mktemp -t prof_out.XXXXXX.txt)"
-trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$vr_trace" "$vr_trace_t2" "$prof_trace" "$prof_dump" "$prof_out"' EXIT
+trap 'rm -f "$trace_tmp" "$hist_tmp" "$hist_bad" "$summary_json" "$summary_csv" "$vr_trace" "$vr_trace_t2" "$prof_trace" "$prof_dump" "$prof_out"' EXIT
 dune exec bin/repro.exe -- profile-real -b 164.gzip -t 3 -s small \
   --trace "$prof_trace" --dump "$prof_dump" > "$prof_out"
 for anchor in 'telemetry:' 'stage-us' 'high-water'; do
@@ -361,5 +400,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + Spec-path validate-real smoke + real-fine and real-apps runtime smokes + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + summary smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + Spec-path validate-real smoke + real-fine and real-apps runtime smokes + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

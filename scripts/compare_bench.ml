@@ -1,11 +1,14 @@
 (* Perf gates over a bench history file (JSONL, one entry per bench run;
    see Obs_analysis.History).  Two modes, both used by scripts/check.sh:
 
-   Default — diff the last two entries and exit non-zero when a study's
-   simulated span grew or speedup shrank beyond the tolerance.
-   Simulated numbers are deterministic, so a small tolerance catches
-   real regressions without flaking; wall-clock seconds are printed for
-   context but never gated.
+   Default — diff the newest entry against the newest entry from a
+   different revision (preferring one with the same config digest) and
+   exit non-zero when a study's simulated span grew or speedup shrank
+   beyond the tolerance.  Same-revision entries (check.sh's jobs=1 /
+   jobs=N bench pair) are equal by construction, so they are never the
+   baseline.  Simulated numbers are deterministic, so a small tolerance
+   catches real regressions without flaking; wall-clock seconds are
+   printed for context but never gated.
 
    --scaling — compare the newest jobs>1 entry against the newest
    jobs=1 entry (preferring a same-revision pair) and fail when the
@@ -48,14 +51,20 @@ let load file =
 
 let regression_gate file =
   let tolerance = env_fraction "BENCH_TOLERANCE" 0.02 in
-  let entries = load file in
-  match List.rev entries with
-  | [] | [ _ ] ->
-    Printf.printf "compare_bench: %s has %d entr%s — nothing to compare\n" file
-      (List.length entries)
-      (if List.length entries = 1 then "y" else "ies");
+  (* The baseline: newest entry from another revision, same config
+     digest if there is one. *)
+  let baseline (newer : H.entry) rest =
+    let other_rev = List.filter (fun (e : H.entry) -> e.H.rev <> newer.H.rev) rest in
+    let same_config = List.filter (fun (e : H.entry) -> e.H.config = newer.H.config) other_rev in
+    match same_config @ other_rev with [] -> None | older :: _ -> Some (older, newer)
+  in
+  let pair = match List.rev (load file) with [] -> None | newer :: rest -> baseline newer rest in
+  match pair with
+  | None ->
+    Printf.printf "compare_bench: %s has no entries from two revisions — nothing to compare\n"
+      file;
     exit 0
-  | newer :: older :: _ ->
+  | Some (older, newer) ->
     Printf.printf "compare_bench: %s -> %s (%s, tolerance %.1f%%)\n" older.H.rev newer.H.rev
       file (100. *. tolerance);
     if older.H.config <> newer.H.config then

@@ -1,10 +1,9 @@
 (* Tests for the lib/obs observability layer: JSON round-trips, the
-   metrics registry, event sinks, Chrome trace export from a real
+   summary metrics decoded from simulator events, event sinks, Chrome trace export from a real
    registry study, wall-clock span aggregation across pool domains, and
    the summary emitters. *)
 
 module J = Obs.Json
-module M = Obs.Metrics
 module S = Obs.Sink
 module E = Obs.Event
 
@@ -107,44 +106,136 @@ let json_accessors () =
   Alcotest.(check (option int)) "missing" None (Option.bind (J.member "zzz" v) J.to_int)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
+(* Metrics: the summary view decoded from the event stream             *)
+
+(* A hand-built stream: phase-A task 0 runs 5 units; phase-B task 1 is
+   started with 8, squashed after 3, then restarted with 8; phase-C task
+   2 runs 4.  Queue events carry the occupancy after the operation. *)
+let crafted_events =
+  let start time task phase work =
+    E.Task_start { time; task; core = 0; phase; iteration = 0; work }
+  in
+  let push time queue slot occupancy = E.Queue_push { time; queue; slot; occupancy; task = 0 } in
+  let pop time queue slot occupancy = E.Queue_pop { time; queue; slot; occupancy; task = 0 } in
+  [
+    start 0 0 'A' 5;
+    push 5 E.In_queue 0 1;
+    push 6 E.In_queue 1 2;
+    pop 7 E.In_queue 0 1;
+    start 7 1 'B' 8;
+    E.Task_squash { time = 10; task = 1; core = 0; elapsed = 3 };
+    start 10 1 'B' 8;
+    push 18 E.Out_queue 0 1;
+    pop 19 E.Out_queue 0 0;
+    start 19 2 'C' 4;
+    E.Wake { time = 23 };
+  ]
 
 let metrics_counters_and_gauges () =
-  let m = M.create () in
-  let c = M.counter m "squashes" in
-  M.incr c;
-  M.add c 4;
-  Alcotest.(check int) "counter value" 5 (M.value c);
-  Alcotest.(check bool) "find-or-create shares state" true (M.value (M.counter m "squashes") = 5);
-  let g = M.gauge m "occupancy" in
-  M.observe g 3;
-  M.observe g 7;
-  M.observe g 2;
-  Alcotest.(check int) "gauge current" 2 (M.gauge_value g);
-  Alcotest.(check int) "gauge high water" 7 (M.high_water g)
+  let m = Obs.Summary.decode ~slots:2 ~misspec_delayed:2 ~squashes:1 crafted_events in
+  let counter name = List.assoc name m.Obs.Summary.counters in
+  Alcotest.(check int) "busy/A" 5 (counter "busy/A");
+  Alcotest.(check int) "busy/B less the squashed remainder" 11 (counter "busy/B");
+  Alcotest.(check int) "busy/C" 4 (counter "busy/C");
+  Alcotest.(check int) "misspec_delayed passed through" 2 (counter "misspec_delayed");
+  Alcotest.(check int) "squashes passed through" 1 (counter "squashes");
+  Alcotest.(check (pair int int)) "in-queue last and high water" (1, 2)
+    (List.assoc "in_queue_occupancy" m.Obs.Summary.gauges);
+  Alcotest.(check (pair int int)) "out-queue last and high water" (0, 1)
+    (List.assoc "out_queue_occupancy" m.Obs.Summary.gauges);
+  let quiet = Obs.Summary.decode ~slots:2 ~misspec_delayed:0 ~squashes:0 [] in
+  Alcotest.(check (pair int int)) "untouched queue gauge is zero" (0, 0)
+    (List.assoc "in_queue_occupancy" quiet.Obs.Summary.gauges)
 
+(* A series gains a sample only when its slot sees a push or pop. *)
 let metrics_sampling_gate () =
-  Alcotest.(check bool) "off by default" false (M.sampling (M.create ()));
-  let m = M.create ~sampling:true () in
-  Alcotest.(check bool) "on when asked" true (M.sampling m);
-  let s = M.series m "in_queue/0" in
-  M.sample s ~time:0 1;
-  M.sample s ~time:5 2;
-  Alcotest.(check (list (pair int int))) "samples in order" [ (0, 1); (5, 2) ] (M.samples s)
+  let m = Obs.Summary.decode ~slots:2 ~misspec_delayed:0 ~squashes:0 crafted_events in
+  let series name = List.assoc name m.Obs.Summary.series in
+  Alcotest.(check (list (pair int int))) "in_queue/0 samples in order" [ (5, 1); (7, 1) ]
+    (series "in_queue/0");
+  Alcotest.(check (list (pair int int))) "in_queue/1" [ (6, 2) ] (series "in_queue/1");
+  Alcotest.(check (list (pair int int))) "out_queue/0" [ (18, 1); (19, 0) ] (series "out_queue/0");
+  Alcotest.(check (list (pair int int))) "idle slot has no samples" [] (series "out_queue/1");
+  Alcotest.(check bool) "no_metrics has no series" true
+    (Obs.Summary.no_metrics.Obs.Summary.series = [])
 
 let metrics_snapshot_sorted () =
-  let m = M.create ~sampling:true () in
-  ignore (M.counter m "zeta");
-  ignore (M.counter m "alpha");
-  M.observe (M.gauge m "g2") 1;
-  M.observe (M.gauge m "g1") 9;
-  M.sample (M.series m "s/1") ~time:0 0;
-  let snap = M.snapshot m in
-  Alcotest.(check (list string)) "counters name-sorted" [ "alpha"; "zeta" ]
-    (List.map fst snap.M.snap_counters);
-  Alcotest.(check (list string)) "gauges name-sorted" [ "g1"; "g2" ]
-    (List.map fst snap.M.snap_gauges);
-  Alcotest.(check int) "series captured" 1 (List.length snap.M.snap_series)
+  let m = Obs.Summary.decode ~slots:12 ~misspec_delayed:0 ~squashes:0 crafted_events in
+  let sorted names = List.sort compare names = names in
+  Alcotest.(check bool) "counters name-sorted" true (sorted (List.map fst m.Obs.Summary.counters));
+  Alcotest.(check bool) "gauges name-sorted" true (sorted (List.map fst m.Obs.Summary.gauges));
+  Alcotest.(check bool) "series name-sorted" true (sorted (List.map fst m.Obs.Summary.series));
+  Alcotest.(check int) "one series per queue and slot" 24 (List.length m.Obs.Summary.series)
+
+let gauge_high (m : Obs.Summary.metrics) name = snd (List.assoc name m.Obs.Summary.gauges)
+
+(* Every registry study at small scale, threads {2, 3, 16}, both
+   policies: per loop, the view decoded from the loop's own events
+   reproduces the result's queue high-water marks and total busy work.
+   Each loop is simulated twice — in program order with one shared
+   recorder, then alone in reverse order — and both results must agree:
+   a loop_result depends on nothing that ran before it. *)
+let metrics_decoded_view_agrees () =
+  List.iter
+    (fun (study : Benchmarks.Study.t) ->
+      let profile = study.Benchmarks.Study.run ~scale:Benchmarks.Study.Small in
+      let input =
+        (Core.Framework.build ~plan:study.Benchmarks.Study.plan profile).Core.Framework.input
+      in
+      let loops =
+        List.filter_map
+          (function Sim.Input.Parallel l -> Some l | Sim.Input.Serial _ -> None)
+          input.Sim.Input.segments
+      in
+      List.iter
+        (fun (threads, policy) ->
+          let cfg = Machine.Config.default ~cores:threads in
+          let shared = S.record (S.recorder ()) in
+          let in_order =
+            List.map (fun l -> Sim.Pipeline.run_loop cfg ~policy ~obs:shared l) loops
+          in
+          let alone =
+            List.rev_map
+              (fun l ->
+                let recorder = S.recorder () in
+                let r = Sim.Pipeline.run_loop cfg ~policy ~obs:(S.record recorder) l in
+                (r, S.events recorder))
+              (List.rev loops)
+          in
+          List.iter2
+            (fun (l : Sim.Input.loop) (ordered, (r, events)) ->
+              let what =
+                Printf.sprintf "%s %s t=%d %s" study.Benchmarks.Study.spec_name l.Sim.Input.name
+                  threads
+                  (match policy.Sim.Pipeline.misspec with
+                  | Sim.Pipeline.Squash -> "squash"
+                  | Sim.Pipeline.Serialize -> "serialize")
+              in
+              Alcotest.(check bool) (what ^ ": independent of earlier loops") true (ordered = r);
+              let m =
+                Obs.Summary.decode
+                  ~slots:(Array.length r.Sim.Pipeline.b_tasks_per_core)
+                  ~misspec_delayed:r.Sim.Pipeline.misspec_delayed
+                  ~squashes:r.Sim.Pipeline.squashes events
+              in
+              Alcotest.(check int) (what ^ ": in-queue high water")
+                r.Sim.Pipeline.in_queue_high_water
+                (gauge_high m "in_queue_occupancy");
+              Alcotest.(check int) (what ^ ": out-queue high water")
+                r.Sim.Pipeline.out_queue_high_water
+                (gauge_high m "out_queue_occupancy");
+              let phase p = List.assoc ("busy/" ^ p) m.Obs.Summary.counters in
+              Alcotest.(check int) (what ^ ": busy") (Array.fold_left ( + ) 0 r.Sim.Pipeline.busy)
+                (phase "A" + phase "B" + phase "C"))
+            loops (List.combine in_order alone))
+        (List.concat_map
+           (fun t ->
+             [
+               (t, Sim.Pipeline.default_policy);
+               (t, { Sim.Pipeline.default_policy with misspec = Sim.Pipeline.Squash });
+             ])
+           [ 2; 3; 16 ]))
+    Benchmarks.Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Sinks and events                                                    *)
@@ -319,23 +410,37 @@ let trace_instants_and_out_queue () =
 (* Summary emitters                                                    *)
 
 let summary_emits_csv_and_json () =
-  let m = M.create () in
-  M.add (M.counter m "squashes") 3;
-  M.observe (M.gauge m "occ") 5;
+  let m =
+    Obs.Summary.decode ~slots:1 ~misspec_delayed:0 ~squashes:3
+      [
+        E.Task_start { time = 0; task = 0; core = 1; phase = 'B'; iteration = 0; work = 4 };
+        E.Queue_push { time = 0; queue = E.In_queue; slot = 0; occupancy = 5; task = 0 };
+      ]
+  in
   let spans = [ { Obs.Span.name = "phase"; count = 2; total_s = 4.0; mean_s = 2.0; max_span_s = 3.0 } ] in
-  let csv = Obs.Summary.to_csv ~metrics:(M.snapshot m) ~spans () in
+  let csv = Obs.Summary.to_csv ~metrics:m ~spans () in
   (match String.split_on_char '\n' (String.trim csv) with
   | header :: rows ->
     Alcotest.(check string) "header" Obs.Summary.csv_header header;
-    Alcotest.(check int) "one row per metric and span" 3 (List.length rows)
+    Alcotest.(check int) "one row per counter, gauge and span" 8 (List.length rows)
   | [] -> Alcotest.fail "empty csv");
-  let json = Obs.Summary.to_json ~metrics:(M.snapshot m) ~spans () in
+  let json = Obs.Summary.to_json ~metrics:m ~spans () in
   match J.parse (J.to_string json) with
   | Ok v ->
     Alcotest.(check (option int)) "counter survives" (Some 3)
       (Option.bind
          (Option.bind (J.member "metrics" v) (J.member "counters"))
          (fun c -> Option.bind (J.member "squashes" c) J.to_int));
+    let metric group name field =
+      Option.bind (Option.bind (J.member "metrics" v) (J.member group)) (J.member name)
+      |> Fun.flip Option.bind field
+    in
+    Alcotest.(check (option int)) "busy decoded" (Some 4) (metric "counters" "busy/B" J.to_int);
+    Alcotest.(check (option int)) "gauge high water" (Some 5)
+      (metric "gauges" "in_queue_occupancy" (fun g ->
+           Option.bind (J.member "high_water" g) J.to_int));
+    Alcotest.(check (option int)) "one sample per slot series" (Some 1)
+      (metric "series" "in_queue/0" (fun l -> Option.map List.length (J.to_list l)));
     Alcotest.(check (option int)) "one span row" (Some 1)
       (Option.map List.length (Option.bind (J.member "spans" v) J.to_list))
   | Error e -> Alcotest.failf "summary json invalid: %s" e
@@ -499,6 +604,8 @@ let () =
           Alcotest.test_case "counters and gauges" `Quick metrics_counters_and_gauges;
           Alcotest.test_case "sampling gate" `Quick metrics_sampling_gate;
           Alcotest.test_case "snapshot sorted" `Quick metrics_snapshot_sorted;
+          Alcotest.test_case "decoded view agrees with loop results" `Quick
+            metrics_decoded_view_agrees;
         ] );
       ( "sinks",
         [
