@@ -1,63 +1,53 @@
-(* A walk through the versioned (TLS) memory substrate the paper's
-   simulator assumes: private versions, forwarding, in-order commit,
-   violation detection, privatization, and silent stores.
+(* A walk through the versioned (TLS) memory the paper assumes, as the
+   runtime models it in Runtime.Spec_store: forwarding from the youngest
+   earlier iteration, in-order commit, and validation by value.
 
      dune exec examples/tls_memory.exe
 *)
 
-module VM = Machine.Versioned_memory
-
-let show label m loc =
-  Format.printf "%-40s committed[%d] = %s@." label loc
-    (match VM.committed_value m ~loc with Some v -> string_of_int v | None -> "-")
+module S = Runtime.Spec_store
 
 let () =
-  let m = VM.create () in
-  VM.set_committed m ~loc:0 100;
-  Format.printf "Three speculative iterations over one location:@.@.";
-  VM.begin_task m ~task:0;
-  VM.begin_task m ~task:1;
-  VM.begin_task m ~task:2;
+  (* Location 0 starts at 100 and location 1 at 7. *)
+  let store = S.create ~forwarding:true [| 100; 7 |] in
+  let logs =
+    Array.init 4 (fun i ->
+        let log = S.log_create () in
+        S.start log ~iteration:i;
+        log)
+  in
+  let read i loc = S.read store logs.(i) loc in
+  let writes = [| [ (0, 111) ]; [ (0, 222); (1, 7) ]; []; [] |] in
+  Format.printf "Four speculative iterations, executed out of order:@.@.";
+  S.publish store ~iteration:0 writes.(0);
+  Format.printf "iteration 0 writes loc 0 = 111 into its buffer and publishes it@.";
+  Format.printf "iteration 2 reads loc 0 -> %d  (forwarded from iteration 0)@." (read 2 0);
+  Format.printf "iteration 2 reads loc 1 -> %d@." (read 2 1);
+  Format.printf "iteration 1 reads loc 0 -> %d  (forwarded from iteration 0)@." (read 1 0);
+  S.publish store ~iteration:1 writes.(1);
+  Format.printf "iteration 1 writes loc 0 = 222 and loc 1 = 7 (the value already there)@.";
+  Format.printf "iteration 3 reads loc 0 -> %d  (the youngest earlier writer, iteration 1)@."
+    (read 3 0);
+  Format.printf "iteration 3 reads loc 1 -> %d@.@." (read 3 1);
 
-  (* Task 2 reads too early: it sees the architectural value. *)
-  Format.printf "task 2 reads loc 0 -> %s  (stale architectural state)@."
-    (match VM.read m ~task:2 ~loc:0 with Some v -> string_of_int v | None -> "-");
-
-  (* Task 0 writes; task 1 reads AFTER the write: eager forwarding. *)
-  VM.write m ~task:0 ~loc:0 111;
-  Format.printf "task 0 writes 111; task 1 reads -> %s  (forwarded, no violation)@."
-    (match VM.read m ~task:1 ~loc:0 with Some v -> string_of_int v | None -> "-");
-
-  (* WAW/WAR privatization: task 1 writes its own version. *)
-  VM.write m ~task:1 ~loc:0 222;
-  Format.printf "task 1 writes 222 into its private version@.@.";
-
-  (* Commit in order; task 2's early read is caught. *)
-  let v0 = VM.commit m ~task:0 in
-  Format.printf "commit task 0: %d violation(s)" (List.length v0);
-  List.iter
-    (fun (v : VM.violation) ->
-      Format.printf " -> squash task %d (read loc %d before task %d wrote it)"
-        v.VM.violated_task v.VM.loc v.VM.writer_task)
-    v0;
-  Format.printf "@.";
-  let v1 = VM.commit m ~task:1 in
-  Format.printf
-    "commit task 1: %d violation(s)  (task 2's stale read conflicts with this writer \
-     too; the 0-vs-1 writes themselves never conflict)@."
-    (List.length v1);
-  let v2 = VM.commit m ~task:2 in
-  Format.printf "commit task 2: %d violation(s)  (already squashed and re-run in a real machine)@."
-    (List.length v2);
-  show "after all commits:" m 0;
-
-  (* Silent stores: rewriting the same value violates nobody. *)
-  Format.printf "@.Silent stores:@.";
-  let m2 = VM.create () in
-  VM.set_committed m2 ~loc:7 5;
-  VM.begin_task m2 ~task:0;
-  VM.begin_task m2 ~task:1;
-  ignore (VM.read m2 ~task:1 ~loc:7);
-  VM.write m2 ~task:0 ~loc:7 5;
-  Format.printf "task 1 read loc 7; task 0 rewrote the same value; commit -> %d violations@."
-    (List.length (VM.commit m2 ~task:0))
+  (* Commit in iteration order: validate the logged reads against the
+     committed state, which now holds what a sequential run would have
+     read, then apply the buffered writes. *)
+  Format.printf "Commit in order, validating each iteration's reads by value:@.@.";
+  for i = 0 to 3 do
+    let stale = S.stale store logs.(i) in
+    if stale = 0 then Format.printf "iteration %d: 0 stale reads, commits@." i
+    else begin
+      (* The runtime squashes the iteration and re-executes it against
+         committed state before committing it. *)
+      S.start logs.(i) ~iteration:i;
+      Format.printf "iteration %d: %d stale read (loc 0 was 111, is %d) -> squash, re-run@."
+        i stale (read i 0)
+    end;
+    S.commit store writes.(i);
+    S.retire store ~iteration:i writes.(i)
+  done;
+  Format.printf "@.Iteration 1's write of 7 to loc 1 was silent: the reads of loc 1@.";
+  Format.printf "by iterations 2 and 3 still match committed state, so they pass.@.";
+  Format.printf "committed: loc 0 = %d, loc 1 = %d@." (S.committed store 0)
+    (S.committed store 1)

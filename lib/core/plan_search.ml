@@ -109,24 +109,14 @@ let corrupt_partition (p : Dswp.Partition.t) =
     }
   end
 
-let mirror_binding cfg loop lower_bound =
-  let a_work, b_work, c_work = Sim.Analytic.phase_work loop in
-  let b_cores = Dswp.Planner.b_core_count cfg in
-  let b_throughput =
-    if b_cores > 0 then (b_work + b_cores - 1) / b_cores else b_work
-  in
-  let stage, stage_v =
-    List.fold_left
-      (fun (bl, bv) (label, v) -> if v > bv then (label, v) else (bl, bv))
-      (Obs_analysis.Attribution.A_stage, a_work)
-      [
-        (Obs_analysis.Attribution.C_stage, c_work);
-        (Obs_analysis.Attribution.B_throughput, b_throughput);
-      ]
-  in
-  Obs_analysis.Attribution.bound_name
-    (if 10 * stage_v >= 9 * lower_bound then stage
-     else Obs_analysis.Attribution.Crit_path)
+(* Simulated speedup of one loop (serial work over span), with the run
+   it came from. *)
+let loop_speedup cfg loop =
+  let r = Sim.Pipeline.run_loop cfg ~validate:false loop in
+  let work = Sim.Input.loop_work loop in
+  ( (if r.Sim.Pipeline.span <= 0 then 1.0
+     else float_of_int work /. float_of_int r.Sim.Pipeline.span),
+    r )
 
 let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
     ?(corrupt = false) ?calibration ?(distances = []) (study : Benchmarks.Study.t) =
@@ -212,7 +202,10 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
         in
         {
           Dswp.Search.ev_bound = bound;
-          ev_binding = mirror_binding cfg loop lb;
+          ev_binding =
+            Obs_analysis.Attribution.(
+              bound_name
+                (binding cfg ~phase_work:(Sim.Analytic.phase_work loop) ~lower_bound:lb));
         })
       batch
   in
@@ -240,12 +233,7 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
   let sim_one ((cand : Dswp.Search.candidate), part) =
     let loop = loop_of cand part in
     let cfg = cfg_of cand in
-    let r = Sim.Pipeline.run_loop cfg ~validate:false loop in
-    let work = Sim.Input.loop_work loop in
-    let speedup =
-      if r.Sim.Pipeline.span <= 0 then 1.0
-      else float_of_int work /. float_of_int r.Sim.Pipeline.span
-    in
+    let speedup, r = loop_speedup cfg loop in
     let oracle =
       match Sim.Oracle.validate cfg loop r with
       | Ok () -> Ok ()
@@ -340,12 +328,6 @@ let main_trace_loop (study : Benchmarks.Study.t) ~scale =
       (Printf.sprintf "%s: no parallel loop in the built input"
          study.Benchmarks.Study.spec_name)
 
-let loop_speedup cfg loop =
-  let r = Sim.Pipeline.run_loop cfg ~validate:false loop in
-  let work = Sim.Input.loop_work loop in
-  if r.Sim.Pipeline.span <= 0 then 1.0
-  else float_of_int work /. float_of_int r.Sim.Pipeline.span
-
 (* Worst relative error of realized speedups against trace speedups,
    pointwise over the sweep. *)
 let max_rel_error points =
@@ -393,7 +375,7 @@ let refine_spec_rate ~pdg ~partition ~enabled ~threads ~trace_speedups cal =
                Machine.Config.make ~cores:t
                  ~comm_latency:cal'.Sim.Calibrate.queue_latency ()
              in
-             (trace, loop_speedup cfg realized_loop))
+             (trace, fst (loop_speedup cfg realized_loop)))
            threads trace_speedups)
     in
     let candidates =
@@ -419,7 +401,7 @@ let calibration_report ?(scale = Benchmarks.Study.Small)
     let trace_speedups =
       List.map
         (fun t ->
-          loop_speedup (Machine.Config.make ~cores:t ~comm_latency:1 ()) trace_loop)
+          fst (loop_speedup (Machine.Config.make ~cores:t ~comm_latency:1 ()) trace_loop))
         threads
     in
     let cal =
@@ -441,10 +423,11 @@ let calibration_report ?(scale = Benchmarks.Study.Small)
             cp_threads = t;
             cp_trace_speedup = trace;
             cp_realized_speedup =
-              loop_speedup
-                (Machine.Config.make ~cores:t
-                   ~comm_latency:cal.Sim.Calibrate.queue_latency ())
-                realized_loop;
+              fst
+                (loop_speedup
+                   (Machine.Config.make ~cores:t
+                      ~comm_latency:cal.Sim.Calibrate.queue_latency ())
+                   realized_loop);
           })
         threads trace_speedups
     in

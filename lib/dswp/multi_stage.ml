@@ -5,24 +5,9 @@ let scc_chain pdg ~enabled =
   let surviving (e : Ir.Pdg.edge) =
     match e.Ir.Pdg.breaker with None -> true | Some b -> not (enabled b)
   in
-  let comps = Ir.Pdg.sccs pdg ~consider:surviving () in
-  List.map
-    (fun nodes ->
-      let weight =
-        List.fold_left (fun acc n -> acc +. (Ir.Pdg.node pdg n).Ir.Pdg.weight) 0.0 nodes
-      in
-      let carried =
-        List.exists
-          (fun (e : Ir.Pdg.edge) ->
-            surviving e && e.Ir.Pdg.loop_carried && List.mem e.Ir.Pdg.src nodes
-            && List.mem e.Ir.Pdg.dst nodes)
-          (Ir.Pdg.edges pdg)
-      in
-      let replicable =
-        List.for_all (fun n -> (Ir.Pdg.node pdg n).Ir.Pdg.replicable) nodes
-      in
-      (nodes, weight, (not carried) && replicable))
-    comps
+  let c = Scc_util.condense pdg ~surviving in
+  List.init (Scc_util.component_count c) (fun ci ->
+      (c.Scc_util.comps.(ci), c.Scc_util.weight.(ci), c.Scc_util.eligible.(ci)))
 
 (* Minimize the maximum chunk weight over contiguous partitions of the
    chain into at most k chunks: binary search on the bottleneck plus a

@@ -1,12 +1,13 @@
 (** Shared condensation-graph machinery for the partitioners.
 
-    Both partitioners ({!Partition}'s DAG-SCC growth and
-    {!Slice_partition}'s backward slicing) reason over the same object:
-    the DAG of strongly connected components of the PDG restricted to
-    surviving edges.  This module computes that condensation once, in
-    one pass over nodes and edges, with every per-component fact the
-    partitioners need — weights, parallel eligibility, adjacency both
-    ways — and provides stack-safe reachability over it.
+    All three partitioners ({!Partition}'s DAG-SCC growth,
+    {!Slice_partition}'s backward slicing and {!Multi_stage}'s k-stage
+    chain split) reason over the same object: the DAG of strongly
+    connected components of the PDG restricted to surviving edges.
+    This module computes that condensation once, in one pass over nodes
+    and edges, with every per-component fact the partitioners need —
+    weights, parallel eligibility, adjacency both ways — and provides
+    stack-safe reachability over it.
 
     Everything here is iterative with explicit worklists: the search
     engine partitions large generated PDGs in its inner loop, where the

@@ -30,6 +30,24 @@ type t = {
   misspec_delayed : int;
 }
 
+(* Which term of the lower bound dominates.  The structural critical
+   path always exceeds the dominant stage's serial work by the pipeline
+   fill/drain, so a strict argmax would never name a stage; instead,
+   name the largest stage bottleneck when it explains at least 90% of
+   the bound, and call the loop critical-path bound only when no single
+   stage does — the bound then comes from cross-iteration dependences,
+   not stage capacity. *)
+let binding cfg ~phase_work:(a_work, b_work, c_work) ~lower_bound =
+  let b_cores = Dswp.Planner.b_core_count cfg in
+  let b_throughput = if b_cores > 0 then (b_work + b_cores - 1) / b_cores else b_work in
+  let stage, stage_v =
+    List.fold_left
+      (fun (bl, bv) (label, v) -> if v > bv then (label, v) else (bl, bv))
+      (A_stage, a_work)
+      [ (C_stage, c_work); (B_throughput, b_throughput) ]
+  in
+  if 10 * stage_v >= 9 * lower_bound then stage else Crit_path
+
 let of_events (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
     (loop : Sim.Input.loop) (r : Sim.Sched.loop_result) events =
   let timeline = Timeline.of_events cfg loop r events in
@@ -37,26 +55,9 @@ let of_events (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
   let work = Sim.Input.loop_work loop in
   let span = r.Sim.Sched.span in
   let crit_lower = Sim.Analytic.critical_path loop in
-  let a_work, b_work, c_work = Sim.Analytic.phase_work loop in
+  let ((a_work, b_work, c_work) as phase_work) = Sim.Analytic.phase_work loop in
   let b_cores = Dswp.Planner.b_core_count cfg in
   let lower_bound = Sim.Analytic.lower_bound cfg loop in
-  (* Which term of the lower bound dominates.  The structural critical
-     path always exceeds the dominant stage's serial work by the
-     pipeline fill/drain, so a strict argmax would never name a stage;
-     instead, name the largest stage bottleneck when it explains at
-     least 90% of the bound, and call the loop critical-path bound only
-     when no single stage does — the bound then comes from
-     cross-iteration dependences, not stage capacity. *)
-  let b_throughput = if b_cores > 0 then (b_work + b_cores - 1) / b_cores else b_work in
-  let binding =
-    let stage, stage_v =
-      List.fold_left
-        (fun (bl, bv) (label, v) -> if v > bv then (label, v) else (bl, bv))
-        (A_stage, a_work)
-        [ (C_stage, c_work); (B_throughput, b_throughput) ]
-    in
-    if 10 * stage_v >= 9 * lower_bound then stage else Crit_path
-  in
   let squash_waste =
     List.fold_left
       (fun acc e ->
@@ -78,7 +79,7 @@ let of_events (cfg : Machine.Config.t) ?(policy = Sim.Sched.default_policy)
     c_work;
     b_cores;
     lower_bound;
-    binding;
+    binding = binding cfg ~phase_work ~lower_bound;
     headroom = span - lower_bound;
     squash_waste;
     squashes = r.Sim.Sched.squashes;

@@ -17,6 +17,13 @@ type bound_label = Crit_path | A_stage | C_stage | B_throughput
 
 val bound_name : bound_label -> string
 
+val binding :
+  Machine.Config.t -> phase_work:int * int * int -> lower_bound:int -> bound_label
+(** The stage whose serial work explains >= 90% of [lower_bound]
+    (largest of A, C, B-throughput), else [Crit_path].  [phase_work] is
+    the loop's {!Sim.Analytic.phase_work}.  Both {!of_events} and the
+    planner's bound pass label loops with it. *)
+
 type t = {
   loop_name : string;
   cores : int;

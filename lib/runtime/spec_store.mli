@@ -17,9 +17,10 @@
     Forwarding only saves squashes; the output never depends on it,
     because validation decides every commit.
 
-    [Machine.Versioned_memory] is the semantic reference model of the
-    paper's versioned memory; this store implements the part of it the
-    runtime needs. *)
+    This store is the repo's one model of the paper's versioned memory
+    (buffered writes, in-order commit, stale reads caught).  Validation
+    works by value, so a silent write, or one that restores the value
+    read, does not squash its reader. *)
 
 type t
 

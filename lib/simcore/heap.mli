@@ -1,8 +1,8 @@
 (** Binary min-heap keyed by an integer priority.
 
-    Used by the simulator for event ordering and by the planner for
-    least-loaded core selection.  Ties are broken by insertion order so
-    that simulation results are deterministic. *)
+    The boxed reference semantics for {!Iheap}: the simulator's event
+    queues use [Iheap], and the test suite checks it against this
+    module.  Ties are broken by insertion order, as in [Iheap]. *)
 
 type 'a t
 

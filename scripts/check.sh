@@ -49,6 +49,24 @@ dune build
 dune runtest
 dune build @prop
 
+# Dead-module gate: every module under lib/ must be used from lib/,
+# bin/, bench/, perfbench/ or scripts/ (test/ and examples/ do not
+# count), apart from the commented exemptions in the script.
+python3 scripts/dead_modules.py
+
+# Dead-module self-test: a module nothing uses, added to a copy of the
+# sources, must fail the gate by name.
+dm_tmp="$(mktemp -d -t dead_modules.XXXXXX)"
+tar --exclude=_build --exclude=perfbench/out -cf - lib bin bench perfbench scripts | tar -xf - -C "$dm_tmp"
+echo 'let probe = 0' > "$dm_tmp/lib/machine/unused_probe.ml"
+dm_out="$(python3 scripts/dead_modules.py "$dm_tmp" 2>&1)" && dm_code=0 || dm_code=$?
+rm -rf "$dm_tmp"
+if [[ "$dm_code" -ne 1 ]] || ! grep -q 'Machine.Unused_probe' <<< "$dm_out"; then
+  echo "check.sh: dead_modules.py did not flag an unused module (exit $dm_code):" >&2
+  echo "$dm_out" >&2
+  exit 1
+fi
+
 # Bench smoke, twice in the same session: sequential, then parallel.
 # Both append to BENCH_history.jsonl at the same revision, which is
 # exactly the same-rev pair the --scaling gate wants; stdout must be
@@ -400,5 +418,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + summary smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + Spec-path validate-real smoke + real-fine and real-apps runtime smokes + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + dead-module gate + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + summary smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + Spec-path validate-real smoke + real-fine and real-apps runtime smokes + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -1,9 +1,10 @@
 (* Tests for the instrumentation context and the memory profiler,
-   including the property that the fast profiler agrees with the
-   operational versioned-memory model on which RAW dependences exist. *)
+   including the property that the profiler's RAW dependences are
+   exactly the reads the runtime's speculative store finds stale. *)
 
 module P = Profiling.Profile
 module M = Profiling.Mem_profile
+module S = Runtime.Spec_store
 
 (* ------------------------------------------------------------------ *)
 (* Profile structure                                                   *)
@@ -237,80 +238,128 @@ let mem_cross_iteration_filter () =
   Alcotest.(check int) "one crosses iterations" 1
     (List.length (M.cross_iteration loop edges))
 
-(* Property: the fast profiler and the operational versioned memory agree
-   on the set of (writer, reader, loc) RAW pairs when each task's
-   accesses replay in order and commits happen in task order after all
-   reads of logically later tasks that precede them in sequential order.
-   We check the simpler sequential-consistency form: every edge the
-   profiler reports corresponds to a read that the versioned memory would
-   have flagged as a violation had the tasks run fully overlapped. *)
-let profiler_agrees_with_versioned_memory =
+(* The speculative store validates by value.  Tasks [0 .. n-1] write
+   the given values to one location, set to [init] before the loop;
+   task [n] then reads it.  Returns whether the profiler reports an edge
+   into the reader without and with silent stores, and how many of the
+   reader's reads [Spec_store.stale] flags when it ran against the
+   initial state and the writers committed in order. *)
+let read_after_writes ~init writes =
+  let p = P.create ~name:"t" in
+  let l = P.loc p "x" in
+  P.write p l init;
+  P.begin_loop p "loop";
+  List.iteri
+    (fun i vs ->
+      ignore (P.begin_task p ~iteration:i ~phase:Ir.Task.B ());
+      List.iter (P.write p l) vs;
+      P.end_task p)
+    writes;
+  let n = List.length writes in
+  let reader = P.begin_task p ~iteration:n ~phase:Ir.Task.B () in
+  P.read p l;
+  P.end_task p;
+  P.end_loop p;
+  let log = P.log_of p "loop" in
+  let edge silent_stores =
+    List.exists (fun e -> e.M.dst = reader) (M.analyze ~config:{ M.silent_stores } log)
+  in
+  let store = S.create ~forwarding:false [| init |] in
+  let reads = S.log_create () in
+  S.start reads ~iteration:n;
+  ignore (S.read store reads 0);
+  List.iter (fun vs -> S.commit store (List.map (fun v -> (0, v)) vs)) writes;
+  (edge false, edge true, S.stale store reads)
+
+let stale_by_value () =
+  let check label ~init writes expected =
+    Alcotest.(check (triple bool bool int)) label expected (read_after_writes ~init writes)
+  in
+  check "new value: edge, stale" ~init:0 [ [ 5 ] ] (true, true, 1);
+  check "same value: edge only without silent stores, not stale" ~init:7 [ [ 7 ] ]
+    (true, false, 0);
+  (* ABA: the RAW edge exists, but the value read is the value
+     committed, so validation (rightly) keeps the execution. *)
+  check "ABA: edge, not stale" ~init:0 [ [ 3 ]; [ 0 ] ] (true, true, 0)
+
+(* Property: the profiler's cross-task RAW edges are exactly the reads
+   the runtime's speculative store catches, with every task fully
+   overlapped.  Each task executes against the initial committed state
+   (no forwarding): a read of a location the task already wrote comes
+   from its own write buffer, as in a Spec body under [Runtime.Exec];
+   every other read is logged through [Spec_store.read], one log per
+   location.  Tasks then validate and commit in order.  A logged read
+   of [l] by task [i] is stale iff an earlier task wrote [l], which is
+   when the profiler (silent stores off) reports an edge into [i] at
+   [l].  Validation works by value and cannot see a write that
+   restores the initial value, so the initial store lies outside the
+   generated write range and every write changes its location;
+   [stale_by_value] pins the restoring case. *)
+let profiler_agrees_with_spec_store =
+  let nlocs = 3 in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:200 ~name:"profiler RAW = versioned-memory violations"
+    (QCheck2.Test.make ~count:200 ~name:"profiler RAW = stale reads"
+       ~print:QCheck2.Print.(list (triple int int (option int)))
        QCheck2.Gen.(
          list_size (int_range 1 30)
-           (triple (int_bound 3) (int_bound 2) (option (int_bound 5))))
+           (triple (int_bound 3) (int_bound (nlocs - 1)) (option (int_bound 5))))
        (fun ops ->
-         (* ops in sequential order; (task, loc, Some v = write / None = read);
-            tasks execute their slices in task order, so sort by task. *)
-         let ops =
-           List.stable_sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2) ops
+         (* (task, loc, Some v = write / None = read); each task runs
+            its ops in list order, tasks in ascending order. *)
+         let tasks = List.sort_uniq compare (List.map (fun (t, _, _) -> t) ops) in
+         let ops_of t =
+           List.filter_map (fun (t', l, op) -> if t' = t then Some (l, op) else None) ops
          in
-         let tasks_used = List.sort_uniq compare (List.map (fun (t, _, _) -> t) ops) in
-         (* Profiler side. *)
          let p = P.create ~name:"prop" in
-         let locs = Array.init 3 (fun i -> P.loc p (Printf.sprintf "l%d" i)) in
+         let locs = Array.init nlocs (fun i -> P.loc p (Printf.sprintf "l%d" i)) in
          P.begin_loop p "loop";
-         List.iteri
-           (fun idx t ->
-             ignore (P.begin_task p ~iteration:idx ~phase:Ir.Task.B ());
-             List.iter
-               (fun (t', l, op) ->
-                 if t' = t then
-                   match op with
-                   | Some v -> P.write p locs.(l) v
-                   | None -> P.read p locs.(l))
-               ops;
-             P.end_task p)
-           tasks_used;
-         P.end_loop p;
-         let edges =
-           M.analyze ~config:{ M.silent_stores = false } (P.log_of p "loop")
+         let ids =
+           List.mapi
+             (fun idx t ->
+               let id = P.begin_task p ~iteration:idx ~phase:Ir.Task.B () in
+               List.iter
+                 (function l, Some v -> P.write p locs.(l) v | l, None -> P.read p locs.(l))
+                 (ops_of t);
+               P.end_task p;
+               id)
+             tasks
          in
-         (* Operational side: all tasks open, replay in sequential order,
-            then commit in order.  A cross-task RAW exists iff the reader
-            observed a value from an earlier open version. *)
-         let m = Machine.Versioned_memory.create ~silent_stores:false () in
-         List.iteri (fun idx _ -> Machine.Versioned_memory.begin_task m ~task:idx) tasks_used;
-         let observed = Hashtbl.create 16 in
-         List.iteri
-           (fun idx t ->
-             List.iter
-               (fun (t', l, op) ->
-                 if t' = t then
-                   match op with
-                   | Some v -> Machine.Versioned_memory.write m ~task:idx ~loc:l v
-                   | None -> ignore (Machine.Versioned_memory.read m ~task:idx ~loc:l))
-               ops;
-             ignore idx)
-           tasks_used;
-         List.iteri
-           (fun idx _ ->
-             List.iter
-               (fun (v : Machine.Versioned_memory.violation) ->
-                 Hashtbl.replace observed
-                   (v.Machine.Versioned_memory.writer_task,
-                    v.Machine.Versioned_memory.violated_task, v.Machine.Versioned_memory.loc)
-                   ())
-               (Machine.Versioned_memory.commit m ~task:idx))
-           tasks_used;
-         (* The operational model only flags reads that happened before
-            the write (true violations); the profiler reports every
-            cross-task RAW.  Violations must be a subset of RAW edges. *)
-         Hashtbl.fold
-           (fun (w, r, l) () acc ->
-             acc && List.exists (fun e -> e.M.src = w && e.M.dst = r && e.M.loc = l) edges)
-           observed true))
+         P.end_loop p;
+         let edges = M.analyze ~config:{ M.silent_stores = false } (P.log_of p "loop") in
+         let store = S.create ~forwarding:false (Array.make nlocs (-1)) in
+         let runs =
+           List.map2
+             (fun id t ->
+               let logs =
+                 Array.init nlocs (fun _ ->
+                     let g = S.log_create () in
+                     S.start g ~iteration:id;
+                     g)
+               in
+               let writes =
+                 List.fold_left
+                   (fun writes (l, op) ->
+                     match op with
+                     | Some v -> (l, v) :: writes
+                     | None ->
+                       if not (List.mem_assoc l writes) then
+                         ignore (S.read store logs.(l) l);
+                       writes)
+                   [] (ops_of t)
+               in
+               (id, logs, List.rev writes))
+             ids tasks
+         in
+         List.for_all
+           (fun (id, logs, writes) ->
+             let agree l =
+               S.stale store logs.(l) > 0
+               = List.exists (fun e -> e.M.dst = id && e.M.loc = locs.(l)) edges
+             in
+             let ok = List.for_all agree (List.init nlocs Fun.id) in
+             S.commit store writes;
+             ok)
+           runs))
 
 let () =
   Alcotest.run "profiling"
@@ -336,6 +385,7 @@ let () =
           Alcotest.test_case "value prediction" `Quick mem_value_prediction;
           Alcotest.test_case "initial values" `Quick mem_initial_values_seed_silence;
           Alcotest.test_case "cross-iteration filter" `Quick mem_cross_iteration_filter;
-          profiler_agrees_with_versioned_memory;
+          Alcotest.test_case "stale by value" `Quick stale_by_value;
+          profiler_agrees_with_spec_store;
         ] );
     ]
