@@ -6,19 +6,6 @@ type report = {
   search : Dswp.Search.result;
 }
 
-let breaker_key = function
-  | Ir.Pdg.Alias_speculation -> "alias"
-  | Ir.Pdg.Value_speculation -> "value"
-  | Ir.Pdg.Control_speculation -> "ctrl"
-  | Ir.Pdg.Silent_store -> "silent"
-  | Ir.Pdg.Commutative_annotation g -> "comm:" ^ g
-  | Ir.Pdg.Ybranch_annotation -> "ybr"
-
-let distinct_breakers pdg =
-  Ir.Pdg.edges pdg
-  |> List.filter_map (fun (e : Ir.Pdg.edge) -> e.Ir.Pdg.breaker)
-  |> List.sort_uniq compare
-
 (* Project the hand plan onto a breaker subset: enabled kinds inherit
    the hand plan's scope (or a total default the hand plan never
    needed), disabled kinds are zeroed.  Commutative groups the subset
@@ -130,7 +117,7 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
   in
   let pdg = study.Benchmarks.Study.pdg () in
   let hand = study.Benchmarks.Study.plan in
-  let pdg_breakers = distinct_breakers pdg in
+  let pdg_breakers = Dswp.Search.distinct_breakers pdg in
   let hand_breakers =
     List.filter (Speculation.Spec_plan.enabled_breakers hand) pdg_breakers
   in
@@ -145,11 +132,7 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
       cand_seed = true;
     }
   in
-  let field =
-    Dswp.Search.generate pdg ~replicate_options:[ true; false ]
-      ~queue_capacities:[ 8; 256 ] ~first_id:1 ()
-  in
-  let candidates = seed :: field in
+  let candidates = seed :: Dswp.Search.generate pdg ~first_id:1 in
   let plan_of breakers =
     if breakers == hand_breakers then hand
     else derive_plan ~hand ~pdg_breakers breakers
@@ -223,7 +206,7 @@ let run ~pool ?(beam = 8) ?(budget = 64) ?(threads = 16) ?(iterations = 64)
       |> String.concat "|"
     in
     let breakers =
-      List.map breaker_key cand.Dswp.Search.cand_breakers
+      List.map Dswp.Search.breaker_short cand.Dswp.Search.cand_breakers
       |> List.sort compare |> String.concat "+"
     in
     let cfg = cfg_of cand in

@@ -91,8 +91,13 @@ let label ~part ~breakers ~replicate ~queue_capacity =
     (if replicate then "ps" else "3s")
     queue_capacity
 
-let generate pdg ?(replicate_options = [ true ]) ?(queue_capacities = [ 256 ])
-    ~first_id () =
+(* The field's replication and queue-depth axes: PS-DSWP or plain
+   3-stage DSWP, each at a shallow and a deep queue. *)
+let replicate_options = [ true; false ]
+
+let queue_capacities = [ 8; 256 ]
+
+let generate pdg ~first_id =
   let subsets = breaker_subsets (distinct_breakers pdg) in
   let next_id = ref first_id in
   List.concat_map

@@ -92,19 +92,20 @@ type hooks = {
           across a pool as long as results come back in input order *)
 }
 
-val generate :
-  Ir.Pdg.t ->
-  ?replicate_options:bool list ->
-  ?queue_capacities:int list ->
-  first_id:int ->
-  unit ->
-  candidate list
+val breaker_short : Ir.Pdg.breaker -> string
+(** Short stable name of a breaker (["alias"], ["comm:<group>"], ...),
+    used in candidate labels and simulation cache keys. *)
+
+val distinct_breakers : Ir.Pdg.t -> Ir.Pdg.breaker list
+(** The distinct breakers on the PDG's edges, sorted. *)
+
+val generate : Ir.Pdg.t -> first_id:int -> candidate list
 (** Enumerate the non-seed candidate space for a PDG: every subset of
     its distinct breakers (all [2^n] when [n <= 6], else the empty set,
     singletons, all-but-ones and the full set) crossed with both
-    partitioners, [replicate_options] (default [[true]]) and
-    [queue_capacities] (default [[256]]).  Ids are assigned from
-    [first_id] in generation order; labels encode the coordinates. *)
+    partitioners, replicated and plain stage B, and queue capacities 8
+    and 256.  Ids are assigned from [first_id] in generation order;
+    labels encode the coordinates. *)
 
 val run :
   pdg:Ir.Pdg.t ->

@@ -45,15 +45,23 @@ type result = { output : string; stats : stats; telemetry : telemetry option }
 
 let now = Unix.gettimeofday
 
-(* A speculative execution's outcome, and what a B replica hands C. *)
-type 'r outcome = Ran of (int * int) list * 'r | Raised of exn
+(* A speculative execution's outcome.  [res] is mutable so a recycled
+   job stores the next result in place, allocating nothing. *)
+type 'r outcome = Ran of { mutable res : 'r } | Raised of exn
 
-type ('i, 'r) executed = {
-  m_iter : int;
-  m_item : 'i;
-  m_log : Spec_store.log;  (* the reads validation re-checks *)
-  m_out : 'r outcome;
+(* One iteration's execution, handed from B to C: the item (kept for a
+   squash's re-execution), the log of its reads and buffered writes,
+   and its outcome.  C hands every job back to its replica through a
+   return ring, so a warm run allocates none. *)
+type ('i, 'r) job = {
+  mutable iter : int;
+  mutable item : 'i;
+  log : Spec_store.log;
+  mutable out : 'r outcome;
 }
+
+(* A new job's outcome until B first executes it; C never sees it. *)
+exception Not_executed
 
 (* Probe record kinds.  Every record's time is microseconds since the
    run's own origin, taken when the operation ended.  The timed kinds
@@ -233,333 +241,274 @@ let drain ~loop ~span_us ~r ~fused ~qcap ~role_name probes =
   }
 
 let run ?pool ?(queue_capacity = 64) ?(probe = false) ?span_registry ~threads ~name staged =
+  let (Staged.Pipeline s) = staged in
   let go d p =
-      begin
-        let fused = d = 2 in
-        let r = if fused then 1 else d - 2 in
-        let n = Staged.iterations staged in
-        let accts =
-          Array.init (r + 2) (fun k ->
-              let prb =
-                if not probe then None
-                else
-                  let items = if k = 0 || k = r + 1 then n else (n + r - 1) / r in
-                  let capacity = (records_per_item ~c:(r + 1) k * items) + 1 in
-                  Some (Obs.Probe.create ~capacity ~domain:k ())
-              in
-              make_acct ~prb ())
-        in
-        let t0 = ref (now ()) in
-        let us () = int_of_float ((now () -. !t0) *. 1e6) in
-        let record acct ~kind ~a ~b =
-          match acct.prb with
-          | None -> ()
-          | Some p -> Obs.Probe.record p ~kind ~time:(us ()) ~a ~b
-        in
-        let buf = Buffer.create 4096 in
-        let squashes = ref 0 and violations = ref 0 in
-        let error = Atomic.make None in
-        (* Queues are existentially typed per Staged case, so each case
-           builds its own and registers them for poisoning here. *)
-        let poison_hooks = ref [] in
-        let poison_all () = List.iter (fun f -> f ()) !poison_hooks in
-        let qcap = ref 0 in
-        let new_queues k =
-          let qs = Array.init k (fun _ -> Spsc.create ~capacity:queue_capacity ()) in
-          qcap := Spsc.capacity qs.(0);
-          poison_hooks := (fun () -> Array.iter Spsc.poison qs) :: !poison_hooks;
-          qs
-        in
-        (* Per-task clocks are read only when probing; with it off a
-           role's busy time is derived once, from its wall clock, in
-           [run_role]. *)
-        let span_begin acct = if probe then acct.clk.span_t0 <- now () in
-        let span_end acct ~iteration =
-          acct.items <- acct.items + 1;
-          if probe then begin
-            let d = now () -. acct.clk.span_t0 in
-            acct.clk.busy <- acct.clk.busy +. d;
-            record acct ~kind:k_stage ~a:(int_of_float (d *. 1e6)) ~b:iteration
-          end
-        in
-        (* A queue record's occupancy is read after the operation, and
-           only when probing: [Spsc.length] reads both cursors. *)
-        let pushed acct q i = if probe then record acct ~kind:k_push ~a:i ~b:(Spsc.length q) in
-        let popped acct q i = if probe then record acct ~kind:k_pop ~a:i ~b:(Spsc.length q) in
-        (* Stage A deals iteration [i] to replica [i mod r]. *)
-        let role_a produce a2b () =
-          let acct = accts.(0) in
-          for i = 0 to n - 1 do
-            span_begin acct;
-            let item = produce i in
-            span_end acct ~iteration:i;
-            push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct (i, item);
-            pushed acct a2b.(i mod r) i
-          done;
-          Array.iter Spsc.close a2b
-        in
-        (* Role [k] runs on accts.(k): A, the B replicas (or the fused B+C
-           role at two domains), C.  The per-item loops call only known
-           functions, never a [(fun () -> ...)] body (without flambda
-           each would be a closure allocated per item), so with probing
-           off a Pure iteration allocates nothing in the runtime but the
-           tuple each queue hop carries. *)
-        let roles =
-          match staged with
-          | Staged.Pure s ->
-            let a2b = new_queues r in
-            let b2c = if fused then [||] else new_queues r in
-            let transform acct i item =
-              span_begin acct;
-              let res = s.Staged.transform item in
-              span_end acct ~iteration:i;
-              res
-            in
-            let consume acct i res =
-              span_begin acct;
-              s.Staged.consume buf i res;
-              span_end acct ~iteration:i;
-              record acct ~kind:k_commit ~a:i ~b:0
-            in
-            let role_b k () =
-              let acct = accts.(k + 1) in
-              let rec loop () =
-                match pop_acct ~us ~slot:k a2b.(k) acct with
-                | exception Spsc.Closed -> Spsc.close b2c.(k)
-                | i, item ->
-                  popped acct a2b.(k) i;
-                  let res = transform acct i item in
-                  push_acct ~us ~slot:k b2c.(k) acct (i, res);
-                  pushed acct b2c.(k) i;
-                  loop ()
-              in
-              loop ()
-            in
-            let role_c () =
-              let acct = accts.(r + 1) in
-              for i = 0 to n - 1 do
-                match pop_acct ~us ~slot:(i mod r) b2c.(i mod r) acct with
-                | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
-                | j, res ->
-                  if j <> i then failwith "Runtime.Exec: out-of-order result";
-                  popped acct b2c.(i mod r) i;
-                  consume acct i res
-              done;
-              s.Staged.finish buf
-            in
-            let role_bc () =
-              let acct_b = accts.(1) and acct_c = accts.(2) in
-              let rec loop i =
-                match pop_acct ~us ~slot:0 a2b.(0) acct_b with
-                | exception Spsc.Closed ->
-                  if i <> n then failwith "Runtime.Exec: item stream ended early";
-                  s.Staged.finish buf
-                | j, item ->
-                  if j <> i then failwith "Runtime.Exec: out-of-order item";
-                  popped acct_b a2b.(0) i;
-                  let res = transform acct_b i item in
-                  consume acct_c i res;
-                  loop (i + 1)
-              in
-              loop 0
-            in
-            let role_a = role_a s.Staged.produce a2b in
-            if fused then [| role_a; role_bc |]
-            else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
-          | Staged.Spec s ->
-            let a2b = new_queues r in
-            let b2c = if fused then [||] else new_queues r in
-            (* The fused B+C role executes each iteration against fully
-               committed state, so only replicated B forwards. *)
-            let store = Spec_store.create ~forwarding:(not fused) s.Staged.sp_init in
-            let read_committed loc = Spec_store.committed store loc in
-            (* Each replica cycles its read logs through a return ring
-               from C: it takes a free log or, when none is back yet,
-               makes one, so the logs in circulation never exceed the
-               items in flight and a warm run allocates none. *)
-            let free =
-              Array.init (if fused then 0 else r) (fun _ ->
-                  Spsc.create ~capacity:(queue_capacity + 2) ())
-            in
-            let take_log k =
-              match Spsc.try_pop free.(k) with
-              | log -> log
-              | exception Spsc.Empty -> Spec_store.log_create ()
-            in
-            let give_log k log = ignore (Spsc.try_push free.(k) log) in
-            (* Each role builds its [read] once, over the log of the
-               execution in progress (a replica's cycles through a
-               cell), so a read costs one lookup and two stores into the
-               log.  A raise out of a speculative body is deferred to
-               commit: it may be an artefact of a stale read. *)
-            let exec_spec acct log read i item =
-              span_begin acct;
-              Spec_store.start log ~iteration:i;
-              let out =
-                match s.Staged.sp_exec ~read item with
-                | writes, res -> Ran (writes, res)
-                | exception e -> Raised e
-              in
-              span_end acct ~iteration:i;
-              out
-            in
-            let finish_commit acct i ~spec writes res =
-              Spec_store.commit store writes;
-              Spec_store.retire store ~iteration:i spec;
-              span_begin acct;
-              s.Staged.sp_consume buf i res;
-              span_end acct ~iteration:i;
-              record acct ~kind:k_commit ~a:i ~b:0
-            in
-            (* Commit-time validation: every value iteration [i] read
-               must equal the committed value now that all earlier
-               iterations have committed — i.e. exactly what the
-               sequential run would have read.  A stale read squashes
-               the iteration: it re-executes against committed state
-               here, on C's domain, and only then commits. *)
-            let commit_one acct i item log out =
-              let tv = if probe then now () else 0. in
-              let stale = Spec_store.stale store log in
-              if probe then
-                record acct ~kind:k_validate ~a:(int_of_float ((now () -. tv) *. 1e6)) ~b:i;
-              let spec = match out with Ran (writes, _) -> writes | Raised _ -> [] in
-              if stale = 0 then begin
-                match out with
-                | Ran (writes, res) -> finish_commit acct i ~spec writes res
-                | Raised e -> raise e
-              end
-              else begin
-                incr squashes;
-                violations := !violations + stale;
-                let tb = if probe then now () else 0. in
-                let writes, res = s.Staged.sp_exec ~read:read_committed item in
-                if probe then begin
-                  let d = now () -. tb in
-                  acct.clk.busy <- acct.clk.busy +. d;
-                  record acct ~kind:k_squash ~a:(int_of_float (d *. 1e6)) ~b:i
-                end;
-                finish_commit acct i ~spec writes res
-              end
-            in
-            let role_b k () =
-              let acct = accts.(k + 1) in
-              let cur = ref (take_log k) in
-              let read loc = Spec_store.read store !cur loc in
-              let rec loop () =
-                match pop_acct ~us ~slot:k a2b.(k) acct with
-                | exception Spsc.Closed -> Spsc.close b2c.(k)
-                | i, item ->
-                  popped acct a2b.(k) i;
-                  let out = exec_spec acct !cur read i item in
-                  (match out with
-                  | Ran (writes, _) -> Spec_store.publish store ~iteration:i writes
-                  | Raised _ -> ());
-                  let m = { m_iter = i; m_item = item; m_log = !cur; m_out = out } in
-                  cur := take_log k;
-                  push_acct ~us ~slot:k b2c.(k) acct m;
-                  pushed acct b2c.(k) i;
-                  loop ()
-              in
-              loop ()
-            in
-            let role_c () =
-              let acct = accts.(r + 1) in
-              for i = 0 to n - 1 do
-                match pop_acct ~us ~slot:(i mod r) b2c.(i mod r) acct with
-                | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
-                | m ->
-                  if m.m_iter <> i then failwith "Runtime.Exec: out-of-order result";
-                  popped acct b2c.(i mod r) i;
-                  commit_one acct i m.m_item m.m_log m.m_out;
-                  give_log (i mod r) m.m_log
-              done;
-              s.Staged.sp_finish ~read:read_committed buf
-            in
-            let role_bc () =
-              let acct_b = accts.(1) and acct_c = accts.(2) in
-              let log = Spec_store.log_create () in
-              let read loc = Spec_store.read store log loc in
-              let rec loop i =
-                match pop_acct ~us ~slot:0 a2b.(0) acct_b with
-                | exception Spsc.Closed ->
-                  if i <> n then failwith "Runtime.Exec: item stream ended early";
-                  s.Staged.sp_finish ~read:read_committed buf
-                | j, item ->
-                  if j <> i then failwith "Runtime.Exec: out-of-order item";
-                  popped acct_b a2b.(0) i;
-                  let out = exec_spec acct_b log read i item in
-                  commit_one acct_c i item log out;
-                  loop (i + 1)
-              in
-              loop 0
-            in
-            let role_a = role_a s.Staged.sp_produce a2b in
-            if fused then [| role_a; role_bc |]
-            else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
-        in
-        (* Without probing, a role's busy time is its own wall clock
-           minus its stalls (the fused B+C role reports it on the B row).
-           A failing role poisons every queue so the others unwind. *)
-        let run_role k =
-          let c = accts.(k).clk in
-          let w0 = now () in
-          match roles.(k) () with
-          | () -> if not probe then c.busy <- now () -. w0 -. c.starved -. c.blocked
-          | exception Spsc.Poisoned -> ()
-          | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            ignore (Atomic.compare_and_set error None (Some (e, bt)));
-            poison_all ()
-        in
-        let nroles = Array.length roles in
-        t0 := now ();
-        let tstart = now () in
-        Parallel.Pool.parallel_for p ~n:nroles run_role;
-        let seconds = now () -. tstart in
-        let span_us = us () in
-        (match Atomic.get error with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ());
-        let role_name k = if k = 0 then "A" else if k <= r then Printf.sprintf "B%d" (k - 1) else "C" in
-        let role_rows =
-          Array.mapi
-            (fun k (a : acct) ->
-              {
-                rs_role = role_name k;
-                rs_items = a.items;
-                rs_busy = a.clk.busy;
-                rs_starved = a.clk.starved;
-                rs_blocked = a.clk.blocked;
-              })
-            accts
-        in
-        (match span_registry with
-        | None -> ()
-        | Some reg ->
-          Array.iter
-            (fun rs -> Obs.Span.record reg (Printf.sprintf "real/%s/%s" name rs.rs_role) rs.rs_busy)
-            role_rows);
-        let telemetry =
-          if not probe then None
-          else
-            Some
-              (drain ~loop:name ~span_us ~r ~fused ~qcap:!qcap ~role_name
-                 (Array.map (fun a -> Option.get a.prb) accts))
-        in
-        {
-          output = Buffer.contents buf;
-          stats =
-            {
-              threads = d;
-              replicas = r;
-              seconds;
-              squashes = !squashes;
-              violations = !violations;
-              roles = role_rows;
-            };
-          telemetry;
-        }
+    let fused = d = 2 in
+    let r = if fused then 1 else d - 2 in
+    let n = s.Staged.iterations in
+    let accts =
+      Array.init (r + 2) (fun k ->
+          let prb =
+            if not probe then None
+            else
+              let items = if k = 0 || k = r + 1 then n else (n + r - 1) / r in
+              let capacity = (records_per_item ~c:(r + 1) k * items) + 1 in
+              Some (Obs.Probe.create ~capacity ~domain:k ())
+          in
+          make_acct ~prb ())
+    in
+    let t0 = ref (now ()) in
+    let us () = int_of_float ((now () -. !t0) *. 1e6) in
+    let record acct ~kind ~a ~b =
+      match acct.prb with
+      | None -> ()
+      | Some p -> Obs.Probe.record p ~kind ~time:(us ()) ~a ~b
+    in
+    let buf = Buffer.create 4096 in
+    let squashes = ref 0 and violations = ref 0 in
+    let error = Atomic.make None in
+    let new_queues () = Array.init r (fun _ -> Spsc.create ~capacity:queue_capacity ()) in
+    let a2b = new_queues () in
+    let b2c = if fused then [||] else new_queues () in
+    let poison_all () =
+      Array.iter Spsc.poison a2b;
+      Array.iter Spsc.poison b2c
+    in
+    (* Per-task clocks are read only when probing; with it off a role's
+       busy time is derived once, from its wall clock, in [run_role]. *)
+    let span_begin acct = if probe then acct.clk.span_t0 <- now () in
+    let span_end acct ~iteration =
+      acct.items <- acct.items + 1;
+      if probe then begin
+        let d = now () -. acct.clk.span_t0 in
+        acct.clk.busy <- acct.clk.busy +. d;
+        record acct ~kind:k_stage ~a:(int_of_float (d *. 1e6)) ~b:iteration
       end
+    in
+    (* A queue record's occupancy is read after the operation, and only
+       when probing: [Spsc.length] reads both cursors. *)
+    let pushed acct q i = if probe then record acct ~kind:k_push ~a:i ~b:(Spsc.length q) in
+    let popped acct q i = if probe then record acct ~kind:k_pop ~a:i ~b:(Spsc.length q) in
+    (* The fused B+C role executes each iteration against fully
+       committed state, so only replicated B forwards. *)
+    let store = Spec_store.create ~forwarding:(not fused) s.Staged.init in
+    let read_committed loc = Spec_store.committed store loc in
+    (* Each replica cycles its jobs through a return ring from C: it
+       takes a free job or, when none is back yet, makes one.  A job is
+       made only when every other is in flight, so the ring never
+       overflows; the fused role keeps one job for the whole run. *)
+    let free =
+      Array.init (if fused then 0 else r) (fun k ->
+          Spsc.create ~capacity:(Spsc.capacity b2c.(k) + 2) ())
+    in
+    let new_job i item =
+      { iter = i; item; log = Spec_store.log_create (); out = Raised Not_executed }
+    in
+    let reuse j i item =
+      j.iter <- i;
+      j.item <- item;
+      j
+    in
+    let take_job k i item =
+      match Spsc.try_pop free.(k) with
+      | j -> reuse j i item
+      | exception Spsc.Empty -> new_job i item
+    in
+    (* Stage A deals iteration [i] to replica [i mod r], so replica [k]
+       receives iterations [k], [k + r], [k + 2r], ... in order and the
+       item travels alone: no hop carries its index. *)
+    let role_a () =
+      let acct = accts.(0) in
+      for i = 0 to n - 1 do
+        span_begin acct;
+        let item = s.Staged.produce i in
+        span_end acct ~iteration:i;
+        push_acct ~us ~slot:(i mod r) a2b.(i mod r) acct item;
+        pushed acct a2b.(i mod r) i
+      done;
+      Array.iter Spsc.close a2b
+    in
+    (* A B role's body runner.  [read] and [write] are built once, over
+       the log of the job in hand, so each costs a lookup and two stores
+       into the log.  A raise out of a speculative body is deferred to
+       commit: it may be an artefact of a stale read. *)
+    let executor () =
+      let log = ref (Spec_store.log_create ()) in
+      let read loc = Spec_store.read store !log loc
+      and write loc v = Spec_store.write !log loc v in
+      fun acct j ->
+        log := j.log;
+        span_begin acct;
+        Spec_store.start j.log ~iteration:j.iter;
+        (match s.Staged.transform ~read ~write j.item with
+        | res -> ( match j.out with Ran o -> o.res <- res | Raised _ -> j.out <- Ran { res })
+        | exception e -> j.out <- Raised e);
+        span_end acct ~iteration:j.iter;
+        Spec_store.publish store j.log
+    in
+    (* C's own log, for re-executions against committed state. *)
+    let redo = Spec_store.log_create () in
+    let write_redo loc v = Spec_store.write redo loc v in
+    let finish_commit acct j log res =
+      Spec_store.commit store log;
+      Spec_store.retire store j.log;
+      span_begin acct;
+      s.Staged.consume buf j.iter res;
+      span_end acct ~iteration:j.iter;
+      record acct ~kind:k_commit ~a:j.iter ~b:0
+    in
+    (* Commit-time validation: every value iteration [i] read must equal
+       the committed value now that all earlier iterations have
+       committed — i.e. exactly what the sequential run would have
+       read.  A stale read squashes the iteration: it re-executes
+       against committed state here, on C's domain, and only then
+       commits. *)
+    let commit_job acct j =
+      let i = j.iter in
+      let tv = if probe then now () else 0. in
+      let stale = Spec_store.stale store j.log in
+      if probe then
+        record acct ~kind:k_validate ~a:(int_of_float ((now () -. tv) *. 1e6)) ~b:i;
+      if stale = 0 then begin
+        match j.out with Ran o -> finish_commit acct j j.log o.res | Raised e -> raise e
+      end
+      else begin
+        incr squashes;
+        violations := !violations + stale;
+        let tb = if probe then now () else 0. in
+        Spec_store.start redo ~iteration:i;
+        let res = s.Staged.transform ~read:read_committed ~write:write_redo j.item in
+        if probe then begin
+          let d = now () -. tb in
+          acct.clk.busy <- acct.clk.busy +. d;
+          record acct ~kind:k_squash ~a:(int_of_float (d *. 1e6)) ~b:i
+        end;
+        finish_commit acct j redo res
+      end
+    in
+    (* Role [k] runs on accts.(k): A, the B replicas (or the fused B+C
+       role at two domains), C.  The per-item loops call only known
+       functions, never a [(fun () -> ...)] body (without flambda each
+       would be a closure allocated per item), so with probing off a
+       warm run allocates nothing per iteration in the runtime. *)
+    let role_b k () =
+      let acct = accts.(k + 1) and execute = executor () in
+      let rec loop i =
+        match pop_acct ~us ~slot:k a2b.(k) acct with
+        | exception Spsc.Closed -> Spsc.close b2c.(k)
+        | item ->
+          popped acct a2b.(k) i;
+          let j = take_job k i item in
+          execute acct j;
+          push_acct ~us ~slot:k b2c.(k) acct j;
+          pushed acct b2c.(k) i;
+          loop (i + r)
+      in
+      loop k
+    in
+    let role_c () =
+      let acct = accts.(r + 1) in
+      for i = 0 to n - 1 do
+        match pop_acct ~us ~slot:(i mod r) b2c.(i mod r) acct with
+        | exception Spsc.Closed -> failwith "Runtime.Exec: result stream ended early"
+        | j ->
+          if j.iter <> i then failwith "Runtime.Exec: out-of-order result";
+          popped acct b2c.(i mod r) i;
+          commit_job acct j;
+          ignore (Spsc.try_push free.(i mod r) j)
+      done;
+      s.Staged.finish ~read:read_committed buf
+    in
+    let role_bc () =
+      let acct_b = accts.(1) and acct_c = accts.(2) and execute = executor () in
+      let job = ref None in
+      let rec loop i =
+        match pop_acct ~us ~slot:0 a2b.(0) acct_b with
+        | exception Spsc.Closed ->
+          if i <> n then failwith "Runtime.Exec: item stream ended early";
+          s.Staged.finish ~read:read_committed buf
+        | item ->
+          popped acct_b a2b.(0) i;
+          let j =
+            match !job with
+            | Some j -> reuse j i item
+            | None ->
+              let j = new_job i item in
+              job := Some j;
+              j
+          in
+          execute acct_b j;
+          commit_job acct_c j;
+          loop (i + 1)
+      in
+      loop 0
+    in
+    let roles =
+      if fused then [| role_a; role_bc |]
+      else Array.concat [ [| role_a |]; Array.init r role_b; [| role_c |] ]
+    in
+    (* Without probing, a role's busy time is its own wall clock
+       minus its stalls (the fused B+C role reports it on the B row).
+       A failing role poisons every queue so the others unwind. *)
+    let run_role k =
+      let c = accts.(k).clk in
+      let w0 = now () in
+      match roles.(k) () with
+      | () -> if not probe then c.busy <- now () -. w0 -. c.starved -. c.blocked
+      | exception Spsc.Poisoned -> ()
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set error None (Some (e, bt)));
+        poison_all ()
+    in
+    let nroles = Array.length roles in
+    t0 := now ();
+    let tstart = now () in
+    Parallel.Pool.parallel_for p ~n:nroles run_role;
+    let seconds = now () -. tstart in
+    let span_us = us () in
+    (match Atomic.get error with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ());
+    let role_name k = if k = 0 then "A" else if k <= r then Printf.sprintf "B%d" (k - 1) else "C" in
+    let role_rows =
+      Array.mapi
+        (fun k (a : acct) ->
+          {
+            rs_role = role_name k;
+            rs_items = a.items;
+            rs_busy = a.clk.busy;
+            rs_starved = a.clk.starved;
+            rs_blocked = a.clk.blocked;
+          })
+        accts
+    in
+    (match span_registry with
+    | None -> ()
+    | Some reg ->
+      Array.iter
+        (fun rs -> Obs.Span.record reg (Printf.sprintf "real/%s/%s" name rs.rs_role) rs.rs_busy)
+        role_rows);
+    let telemetry =
+      if not probe then None
+      else
+        Some
+          (drain ~loop:name ~span_us ~r ~fused ~qcap:(Spsc.capacity a2b.(0)) ~role_name
+             (Array.map (fun a -> Option.get a.prb) accts))
+    in
+    {
+      output = Buffer.contents buf;
+      stats =
+        {
+          threads = d;
+          replicas = r;
+          seconds;
+          squashes = !squashes;
+          violations = !violations;
+          roles = role_rows;
+        };
+      telemetry;
+    }
   in
   match pool with
   | Some p ->

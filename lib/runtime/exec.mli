@@ -16,18 +16,20 @@
     guarantees every role reaches a domain even when a role-chunk lands
     behind a running role in some slot's deque.
 
-    [Spec] pipelines speculate through a {!Spec_store}, with no lock
-    anywhere on the path: B executes each iteration against the dense
-    committed store (forwarding, when B is replicated, the youngest
-    buffered write of an earlier in-flight iteration), logging every
-    [(location, value)] it reads into a reusable flat buffer, and C —
-    the store's only writer — validates at commit: every value the
-    iteration read must equal the committed (i.e. sequential) value; a
-    stale read squashes the iteration, which re-executes against
-    committed state on C's domain before it commits.  Mis-speculation
-    therefore costs time, never correctness, and the squash count is
-    reported in {!stats} rather than in the output bytes (which timing
-    must not influence). *)
+    Every pipeline speculates through a {!Spec_store}, with no lock
+    anywhere on the path (a pipeline with an empty store is the trivial
+    case: nothing to read, write or squash).  B executes each iteration
+    against the dense committed store (forwarding, when B is
+    replicated, the youngest buffered write of an earlier in-flight
+    iteration), logging every [(location, value)] it reads and every
+    write it makes into a reusable flat log, and C — the store's only
+    writer — validates at commit: every value the iteration read must
+    equal the committed (i.e. sequential) value; a stale read squashes
+    the iteration, which re-executes against committed state on C's
+    domain before it commits.  Mis-speculation therefore costs time,
+    never correctness, and the squash count is reported in {!stats}
+    rather than in the output bytes (which timing must not
+    influence). *)
 
 (** Per-role time accounting.  Stall times are measured on the slow
     path only (a pop that found the ring empty, a push that found it
@@ -135,10 +137,13 @@ val run :
     run.
 
     Telemetry is zero-cost when off: with [probe] off nothing is
-    recorded, no per-item clock is read, and on a Pure pipeline the
-    runtime allocates nothing per item beyond the stage bodies' own
-    allocation and the [(index, item)] pair (3 words) each queue hop
-    carries.  On a Spec pipeline a speculative read allocates nothing.
+    recorded, no per-item clock is read, and a warm run allocates
+    nothing per item in the runtime beyond the stage bodies' own
+    allocation.  A ships each item alone (replica [k] knows it receives
+    iterations [k], [k + replicas], ...), B hands C a job (item, log,
+    outcome) recycled through a return ring, and a speculative read or
+    write allocates nothing; only forwarding, at [threads >= 3],
+    allocates the in-flight list nodes of each published write.
     [?span_registry] receives per-role busy/starved/blocked aggregates
     under ["real/<name>/<role>"].  If a stage body raises, all queues
     are poisoned, every role unwinds, and the first exception is

@@ -4,23 +4,25 @@ open Staged
 
 let iters = Study.iterations_for
 
-(* Every Pure bench funnels into the same observable shape: stage B
-   reduces its real computation to an integer digest, stage C chains the
-   digests in iteration order and prints one line each, and [finish]
-   seals the chain.  Any divergence anywhere — a lost iteration, a
-   reordering, a wrong byte out of a kernel — changes the output. *)
+(* Every bench without shared state funnels into the same observable
+   shape: stage B reduces its real computation to an integer digest,
+   stage C chains the digests in iteration order and prints one line
+   each, and [finish] seals the chain.  Any divergence anywhere — a lost
+   iteration, a reordering, a wrong byte out of a kernel — changes the
+   output. *)
 let lines_pipeline ~iterations ~produce ~transform =
   let total = ref 0 in
-  Pure
+  Pipeline
     {
       iterations;
+      init = [||];
       produce;
-      transform;
+      transform = (fun ~read:_ ~write:_ item -> transform item);
       consume =
         (fun buf i d ->
           total := mix (mix !total i) d;
           Buffer.add_string buf (Printf.sprintf "%d %s\n" i (hex d)));
-      finish = (fun buf -> Buffer.add_string buf ("total " ^ hex !total ^ "\n"));
+      finish = (fun ~read:_ buf -> Buffer.add_string buf ("total " ^ hex !total ^ "\n"));
     }
 
 (* 164.gzip — deflate over variable-length text blocks.  A carries the
@@ -280,18 +282,18 @@ let annealing ~salt ~blocks:nb ~grid:w ~nets:nn ~net_span ~cands ~iterations:n =
   in
   let rng = Rng.create (salt * 3) in
   let total = ref 0 in
-  Spec
+  Pipeline
     {
-      sp_iterations = n;
-      sp_init = init;
-      sp_produce =
+      iterations = n;
+      init;
+      produce =
         (fun i ->
           let threshold = max 0 (((n - i) * 2 / n) - 1) in
           ( threshold,
             List.init cands (fun _ -> (Rng.int rng nb, encode (Rng.int rng w) (Rng.int rng w)))
           ));
-      sp_exec =
-        (fun ~read (threshold, cands) ->
+      transform =
+        (fun ~read ~write (threshold, cands) ->
           let delta_of (blk, dst) =
             let cur = read blk in
             List.fold_left
@@ -310,15 +312,15 @@ let annealing ~salt ~blocks:nb ~grid:w ~nets:nn ~net_span ~cands ~iterations:n =
           in
           match best with
           | Some ((blk, dst), d) when d <= threshold ->
-            ([ (blk, dst) ], mix (mix blk dst) d)
-          | Some ((blk, _), d) -> ([], mix (mix blk (-1)) d)
-          | None -> ([], 0))
-        [@warning "-27"];
-      sp_consume =
+            write blk dst;
+            mix (mix blk dst) d
+          | Some ((blk, _), d) -> mix (mix blk (-1)) d
+          | None -> 0);
+      consume =
         (fun buf i d ->
           total := mix (mix !total i) d;
           Buffer.add_string buf (Printf.sprintf "%d %s\n" i (hex d)));
-      sp_finish =
+      finish =
         (fun ~read buf ->
           let cost = ref 0 in
           for ni = 0 to nn - 1 do

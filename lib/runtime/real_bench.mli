@@ -8,10 +8,11 @@
     plus a trailing summary), so byte-comparing a parallel run against
     {!Staged.run_seq} checks end-to-end execution equivalence.
 
-    [175.vpr] and [300.twolf] are [Spec] pipelines: their B stage reads
-    and writes a shared placement through the speculation protocol, so
-    real runs exercise versioned-memory commit and squash.  The other
-    nine are [Pure] pipelines. *)
+    In [175.vpr] and [300.twolf] the B stage reads and writes a shared
+    placement through the speculation protocol, so real runs exercise
+    versioned-memory commit and squash.  The other nine share no state:
+    their store is empty and their B stage ignores [read] and
+    [write]. *)
 
 val staged : ?scale:Benchmarks.Study.scale -> string -> Staged.t
 (** [staged name] builds a fresh pipeline for registry benchmark [name]

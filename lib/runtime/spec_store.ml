@@ -1,6 +1,6 @@
 (* In-flight writes to one location, youngest iteration first; equal
-   iterations keep the later write of a write list first, so a lookup
-   sees what sequential application of the list would leave. *)
+   iterations keep the later write of an execution first, so a lookup
+   sees what applying its writes in call order would leave. *)
 type writes = Nil | W of { iter : int; value : int; next : writes }
 
 type t = {
@@ -16,12 +16,6 @@ let create ~forwarding init =
   }
 
 let committed t loc = t.committed.(loc)
-
-let rec commit t = function
-  | [] -> ()
-  | (loc, v) :: rest ->
-    t.committed.(loc) <- v;
-    commit t rest
 
 let rec youngest_before ws ~iteration ~default =
   match ws with
@@ -39,6 +33,51 @@ let forward t ~iteration loc =
     let ws = Atomic.get t.inflight.(loc) in
     youngest_before ws ~iteration ~default:t.committed.(loc)
   end
+
+(* A growable flat buffer of [(location, value)] pairs, allocated on
+   first use, so an execution that never reads or writes costs none. *)
+type pairs = { mutable buf : int array; mutable len : int }
+
+let pairs () = { buf = [||]; len = 0 }
+
+let add p loc v =
+  if p.len + 2 > Array.length p.buf then begin
+    let buf = Array.make (max 16 (2 * Array.length p.buf)) 0 in
+    Array.blit p.buf 0 buf 0 p.len;
+    p.buf <- buf
+  end;
+  p.buf.(p.len) <- loc;
+  p.buf.(p.len + 1) <- v;
+  p.len <- p.len + 2
+
+type log = { reads : pairs; writes : pairs; mutable iteration : int }
+
+let log_create () = { reads = pairs (); writes = pairs (); iteration = 0 }
+
+let start log ~iteration =
+  log.reads.len <- 0;
+  log.writes.len <- 0;
+  log.iteration <- iteration
+
+let read t log loc =
+  let v = forward t ~iteration:log.iteration loc in
+  add log.reads loc v;
+  v
+
+let write log loc v = add log.writes loc v
+
+let stale t log =
+  let r = log.reads and n = ref 0 in
+  for k = 0 to (r.len / 2) - 1 do
+    if t.committed.(r.buf.(2 * k)) <> r.buf.((2 * k) + 1) then incr n
+  done;
+  !n
+
+let commit t log =
+  let w = log.writes in
+  for k = 0 to (w.len / 2) - 1 do
+    t.committed.(w.buf.(2 * k)) <- w.buf.((2 * k) + 1)
+  done
 
 let rec insert ~iteration v = function
   | W w when w.iter > iteration -> W { w with next = insert ~iteration v w.next }
@@ -58,52 +97,35 @@ let rec remove ~iteration ws =
       if next == w.next then ws else W { w with next }
     end
 
-let rec update cell f =
+(* The compare-and-set loops are top-level functions over the cell,
+   not a generic update taking a closure, so a call allocates only the
+   list nodes it links in. *)
+let rec push_write cell ~iteration v =
   let old = Atomic.get cell in
-  let next = f old in
-  if next != old && not (Atomic.compare_and_set cell old next) then update cell f
+  if not (Atomic.compare_and_set cell old (insert ~iteration v old)) then
+    push_write cell ~iteration v
 
-(* A speculative write list may name a location outside the store (it
-   was computed from stale reads); it is not published, and the
-   committing role raises only if the validated writes still do. *)
+let rec withdraw cell ~iteration =
+  let old = Atomic.get cell in
+  let next = remove ~iteration old in
+  if next != old && not (Atomic.compare_and_set cell old next) then withdraw cell ~iteration
+
+(* A speculative execution may write a location outside the store (its
+   reads were stale); the write is not published, and the committing
+   role raises only if the validated execution still makes it.  Without
+   forwarding [inflight] is empty, so nothing is in range. *)
 let in_range t loc = loc >= 0 && loc < Array.length t.inflight
 
-let publish t ~iteration writes =
-  List.iter
-    (fun (loc, v) -> if in_range t loc then update t.inflight.(loc) (insert ~iteration v))
-    writes
+let publish t log =
+  let w = log.writes in
+  for k = 0 to (w.len / 2) - 1 do
+    let loc = w.buf.(2 * k) in
+    if in_range t loc then push_write t.inflight.(loc) ~iteration:log.iteration w.buf.((2 * k) + 1)
+  done
 
-let retire t ~iteration writes =
-  List.iter
-    (fun (loc, _) -> if in_range t loc then update t.inflight.(loc) (remove ~iteration))
-    writes
-
-type log = { mutable buf : int array; mutable len : int; mutable iteration : int }
-
-let log_create () = { buf = Array.make 64 0; len = 0; iteration = 0 }
-
-let start log ~iteration =
-  log.len <- 0;
-  log.iteration <- iteration
-
-let grow log =
-  let buf = Array.make (2 * Array.length log.buf) 0 in
-  Array.blit log.buf 0 buf 0 log.len;
-  log.buf <- buf
-
-let read t log loc =
-  let v = forward t ~iteration:log.iteration loc in
-  if log.len + 2 > Array.length log.buf then grow log;
-  log.buf.(log.len) <- loc;
-  log.buf.(log.len + 1) <- v;
-  log.len <- log.len + 2;
-  v
-
-let stale t log =
-  let n = ref 0 in
-  let i = ref 0 in
-  while !i < log.len do
-    if t.committed.(log.buf.(!i)) <> log.buf.(!i + 1) then incr n;
-    i := !i + 2
-  done;
-  !n
+let retire t log =
+  let w = log.writes in
+  for k = 0 to (w.len / 2) - 1 do
+    let loc = w.buf.(2 * k) in
+    if in_range t loc then withdraw t.inflight.(loc) ~iteration:log.iteration
+  done

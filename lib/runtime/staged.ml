@@ -1,27 +1,15 @@
 type ('i, 'r) stages = {
   iterations : int;
+  init : int array;
   produce : int -> 'i;
-  transform : 'i -> 'r;
+  transform : read:(int -> int) -> write:(int -> int -> unit) -> 'i -> 'r;
   consume : Buffer.t -> int -> 'r -> unit;
-  finish : Buffer.t -> unit;
+  finish : read:(int -> int) -> Buffer.t -> unit;
 }
 
-type ('i, 'r) spec_stages = {
-  sp_iterations : int;
-  sp_init : int array;
-  sp_produce : int -> 'i;
-  sp_exec : read:(int -> int) -> 'i -> (int * int) list * 'r;
-  sp_consume : Buffer.t -> int -> 'r -> unit;
-  sp_finish : read:(int -> int) -> Buffer.t -> unit;
-}
+type t = Pipeline : ('i, 'r) stages -> t
 
-type t =
-  | Pure : ('i, 'r) stages -> t
-  | Spec : ('i, 'r) spec_stages -> t
-
-let iterations = function
-  | Pure s -> s.iterations
-  | Spec s -> s.sp_iterations
+let iterations (Pipeline s) = s.iterations
 
 (* Stay inside OCaml's 63-bit int so the digest is identical on every
    box: combine with multiplicative mixing and mask to 62 bits. *)
@@ -39,22 +27,17 @@ let mix_string h s =
 
 let hex v = Printf.sprintf "%016x" (v land mask62)
 
-let run_seq t =
+let run_seq (Pipeline s) =
   let buf = Buffer.create 4096 in
-  (match t with
-  | Pure s ->
-    for i = 0 to s.iterations - 1 do
-      s.consume buf i (s.transform (s.produce i))
-    done;
-    s.finish buf
-  | Spec s ->
-    let store = Array.copy s.sp_init in
-    let read loc = store.(loc) in
-    for i = 0 to s.sp_iterations - 1 do
-      let item = s.sp_produce i in
-      let writes, r = s.sp_exec ~read item in
-      List.iter (fun (loc, v) -> store.(loc) <- v) writes;
-      s.sp_consume buf i r
-    done;
-    s.sp_finish ~read buf);
+  let store = Spec_store.create ~forwarding:false s.init in
+  let log = Spec_store.log_create () in
+  let read loc = Spec_store.committed store loc and write loc v = Spec_store.write log loc v in
+  for i = 0 to s.iterations - 1 do
+    let item = s.produce i in
+    Spec_store.start log ~iteration:i;
+    let r = s.transform ~read ~write item in
+    Spec_store.commit store log;
+    s.consume buf i r
+  done;
+  s.finish ~read buf;
   Buffer.contents buf

@@ -8,11 +8,12 @@
       iterations in ascending order from a single domain; any carried
       state (input cursor, RNG, mode flags) lives in its closure, so a
       fresh value of {!t} must be built per run.
-    - {b B} ([transform] / [sp_exec]): the replicable parallel stage.
-      Pure in the [Pure] case; in the [Spec] case it may read and write
-      a shared dense integer store through the speculation protocol
-      ({!Exec}) — reads see pre-iteration state, writes apply at commit,
-      exactly the versioned-memory semantics of the paper.
+    - {b B} ([transform]): the replicable parallel stage.  It may read
+      and write a shared dense integer store through [read] and
+      [write], with the paper's versioned-memory semantics: reads see
+      pre-iteration state, writes are buffered and apply at commit in
+      call order ({!Exec} speculates on them).  A pipeline that shares
+      no state has an empty store and a body that ignores both.
     - {b C} ([consume]): the sequential in-order consume stage, folding
       results into the observable output buffer.
 
@@ -22,40 +23,33 @@
 
 type ('i, 'r) stages = {
   iterations : int;
+  init : int array;
+      (** Initial committed store; [[||]] when the pipeline shares no
+          state.  Locations are its indices: a read or write of a
+          location outside [0 .. Array.length init - 1] raises
+          [Invalid_argument] (once validation has shown the access is
+          not an artefact of a stale speculative read). *)
   produce : int -> 'i;  (** called in order 0..iterations-1 by stage A *)
-  transform : 'i -> 'r;  (** pure; runs replicated on B domains *)
+  transform : read:(int -> int) -> write:(int -> int -> unit) -> 'i -> 'r;
+      (** Stage B body.  [read loc] returns the pre-iteration value of
+          [loc] (never the iteration's own writes); [write loc v]
+          buffers a write.  Must be a function of the item and the
+          values [read] returned — it may be re-executed after a
+          mis-speculation squash. *)
   consume : Buffer.t -> int -> 'r -> unit;  (** in iteration order on C *)
-  finish : Buffer.t -> unit;  (** trailing summary after the last iteration *)
+  finish : read:(int -> int) -> Buffer.t -> unit;
+      (** Trailing summary after the last iteration; may inspect the
+          final committed store. *)
 }
 
-type ('i, 'r) spec_stages = {
-  sp_iterations : int;
-  sp_init : int array;
-      (** Initial committed store.  Locations are its indices: a read or
-          write of a location outside [0 .. Array.length sp_init - 1]
-          raises [Invalid_argument] (once validation has shown the
-          access is not an artefact of a stale speculative read). *)
-  sp_produce : int -> 'i;
-  sp_exec : read:(int -> int) -> 'i -> (int * int) list * 'r;
-      (** Stage B body: reads pre-iteration shared state through [read],
-          returns the (location, value) writes to commit, applied in
-          list order, plus the result payload.  Must be a pure function
-          of the item and the values [read] returned — it may be
-          re-executed after a mis-speculation squash. *)
-  sp_consume : Buffer.t -> int -> 'r -> unit;
-  sp_finish : read:(int -> int) -> Buffer.t -> unit;
-      (** May inspect the final committed store. *)
-}
-
-type t =
-  | Pure : ('i, 'r) stages -> t
-  | Spec : ('i, 'r) spec_stages -> t
+type t = Pipeline : ('i, 'r) stages -> t
 
 val iterations : t -> int
 
 val run_seq : t -> string
-(** The sequential reference execution: produce, transform, consume
-    inline per iteration, in order, on the calling domain. *)
+(** The sequential reference execution: per iteration in order,
+    produce, transform against the committed store, apply its writes,
+    consume — all on the calling domain. *)
 
 (** {1 Digest helpers shared by the staged benchmarks} *)
 

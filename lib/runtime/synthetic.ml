@@ -79,9 +79,10 @@ let staged pdg part ~iterations =
   let a_prev = ref (Array.make sh.nc 0) in
   let c_prev = ref (Array.make sh.nc 0) in
   let total = ref 0 in
-  Pure
+  Pipeline
     {
       iterations;
+      init = [||];
       produce =
         (fun i ->
           let cur = Array.make sh.nc 0 in
@@ -93,7 +94,7 @@ let staged pdg part ~iterations =
              references across the queue is safe. *)
           (i, cur, prev));
       transform =
-        (fun (i, cur, prev) ->
+        (fun ~read:_ ~write:_ (i, cur, prev) ->
           let vals = Array.copy cur in
           fill vals prev b_nodes i;
           (i, vals));
@@ -103,7 +104,7 @@ let staged pdg part ~iterations =
           fill vals !c_prev c_nodes i;
           c_prev := vals;
           digest_line total buf i vals);
-      finish = (fun buf -> seal total buf);
+      finish = (fun ~read:_ buf -> seal total buf);
     }
 
 let reference pdg part ~iterations =

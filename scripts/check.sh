@@ -289,16 +289,21 @@ if ! tail -n 1 BENCH_history.jsonl | grep -q '"real"'; then
   exit 1
 fi
 
-# Spec-path smoke: 175.vpr and 300.twolf speculate through the runtime's
-# speculative store (lock-free reads, commit-time validation, squash and
-# re-execute, forwarding between replicated B stages at 4 domains); their
-# parallel outputs must be byte-identical at 1..4 domains.
-for b in 175.vpr 300.twolf; do
-  if ! dune exec bin/repro.exe -- validate-real -b "$b" -t 4 -s small > /dev/null; then
-    echo "check.sh: validate-real on the Spec path failed for $b" >&2
-    exit 1
-  fi
-done
+# Speculative-path smoke: every pipeline runs through the runtime's
+# speculative store (lock-free reads, buffered writes, commit-time
+# validation, squash and re-execute, forwarding between replicated B
+# stages at >= 3 domains); all 11 benches' parallel outputs must be
+# byte-identical at 1..4 domains, 44 points in all.
+spec_out="$(dune exec bin/repro.exe -- validate-real -t 4 -s small)" || {
+  echo "check.sh: validate-real over all 11 benches failed:" >&2
+  echo "$spec_out" >&2
+  exit 1
+}
+if ! grep -q '44/44 points byte-identical' <<< "$spec_out"; then
+  echo "check.sh: validate-real did not report 44/44 points byte-identical:" >&2
+  echo "$spec_out" >&2
+  exit 1
+fi
 
 # Runtime smoke on the benchmark's real-fine workload: 15 synthetic
 # pipelines (the 11 registry PDGs plus seeded random PDGs) run on real
@@ -316,7 +321,7 @@ assert d["correct"] is True and d["failed"] == 0, d' "$fine_out"; then
 fi
 
 # The same on the real-apps workload: the 11 Real_bench kernels at
-# medium scale, vpr and twolf on the Spec path, each parallel output
+# medium scale, vpr and twolf sharing a store, each parallel output
 # byte-checked against run_seq.
 apps_out="$(python3 perfbench/run.py --workload real-apps --seed 1 --seconds 3 --trace 0 | tail -n 1)" || {
   echo "check.sh: real-apps runtime smoke did not run to completion" >&2
@@ -418,5 +423,5 @@ rm -f "$cal_bad"
 # block).  Exit codes: 0 = ok, 1 = gate failed, 2 = input error.
 dune exec scripts/check_calibration.exe
 
-echo "check.sh: build + runtest + prop + dead-module gate + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + summary smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + Spec-path validate-real smoke + real-fine and real-apps runtime smokes + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
+echo "check.sh: build + runtest + prop + dead-module gate + bench smoke (jobs=1 and jobs=${SCALE_JOBS}, identical stdout) + trace smoke + summary smoke + lint gate + pdg-audit gate (${#audit_benches[@]} benches) + perf gate + scaling gate + validate-real smoke (+ decoded trace) + 11-bench speculative-path validate-real smoke + real-fine and real-apps runtime smokes + auto-planner gate + telemetry smoke + calibration gate OK (schedules oracle-validated)"
 echo "perf record: BENCH_pipeline.json, BENCH_summary.json, BENCH_summary.csv, BENCH_history.jsonl"

@@ -238,6 +238,12 @@ let mem_cross_iteration_filter () =
   Alcotest.(check int) "one crosses iterations" 1
     (List.length (M.cross_iteration loop edges))
 
+(* A log holding the given (location, value) writes, in order. *)
+let writes_log writes =
+  let log = S.log_create () in
+  List.iter (fun (l, v) -> S.write log l v) writes;
+  log
+
 (* The speculative store validates by value.  Tasks [0 .. n-1] write
    the given values to one location, set to [init] before the loop;
    task [n] then reads it.  Returns whether the profiler reports an edge
@@ -268,7 +274,7 @@ let read_after_writes ~init writes =
   let reads = S.log_create () in
   S.start reads ~iteration:n;
   ignore (S.read store reads 0);
-  List.iter (fun vs -> S.commit store (List.map (fun v -> (0, v)) vs)) writes;
+  List.iter (fun vs -> S.commit store (writes_log (List.map (fun v -> (0, v)) vs))) writes;
   (edge false, edge true, S.stale store reads)
 
 let stale_by_value () =
@@ -286,9 +292,11 @@ let stale_by_value () =
    the runtime's speculative store catches, with every task fully
    overlapped.  Each task executes against the initial committed state
    (no forwarding): a read of a location the task already wrote comes
-   from its own write buffer, as in a Spec body under [Runtime.Exec];
-   every other read is logged through [Spec_store.read], one log per
-   location.  Tasks then validate and commit in order.  A logged read
+   from the task's own record of its writes (a [Staged] body's [read]
+   sees pre-iteration state, so a body that reads back its own write
+   keeps the value itself); every other read is logged through
+   [Spec_store.read], one log per location.  Tasks then validate and
+   commit their writes in order.  A logged read
    of [l] by task [i] is stale iff an earlier task wrote [l], which is
    when the profiler (silent stores off) reports an edge into [i] at
    [l].  Validation works by value and cannot see a write that
@@ -357,7 +365,7 @@ let profiler_agrees_with_spec_store =
                = List.exists (fun e -> e.M.dst = id && e.M.loc = locs.(l)) edges
              in
              let ok = List.for_all agree (List.init nlocs Fun.id) in
-             S.commit store writes;
+             S.commit store (writes_log writes);
              ok)
            runs))
 

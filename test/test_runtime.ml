@@ -151,12 +151,13 @@ let role_stats_cover_all_items () =
   Alcotest.(check int) "C consumed every iteration" n (items 'C');
   Alcotest.(check int) "replicas per the paper's plan" 2 r.Exec.stats.Exec.replicas
 
-(* The decoded event stream of a probed run, on a Pure bench and on
-   175.vpr, which takes the Spec path and squashes: loop markers at both
-   ends, time order in between, exactly one start and one finish per
-   (iteration, phase) with the finish after the start, one commit per
-   iteration, one squash event per counted squash, and per queue slot
-   the highest decoded push occupancy is the reported high-water mark. *)
+(* The decoded event stream of a probed run, on a bench without shared
+   state and on 175.vpr, which shares a store and squashes: loop markers
+   at both ends, time order in between, exactly one start and one finish
+   per (iteration, phase) with the finish after the start, one commit
+   per iteration, one squash event per counted squash, and per queue
+   slot the highest decoded push occupancy is the reported high-water
+   mark. *)
 let events_well_formed () =
   List.iter
     (fun name ->
@@ -218,33 +219,53 @@ let events_well_formed () =
 
 let stage_exception_propagates () =
   let staged =
-    Staged.Pure
+    Staged.Pipeline
       {
         Staged.iterations = 100;
+        init = [||];
         produce = (fun i -> i);
-        transform = (fun i -> if i = 57 then failwith "boom" else i);
+        transform = (fun ~read:_ ~write:_ i -> if i = 57 then failwith "boom" else i);
         consume = (fun buf _ r -> Buffer.add_string buf (string_of_int r));
-        finish = ignore;
+        finish = (fun ~read:_ _ -> ());
       }
   in
   match Exec.run ~threads:4 ~name:"boom" staged with
   | exception Failure m -> Alcotest.(check string) "original exception" "boom" m
   | _ -> Alcotest.fail "stage exception must re-raise on the caller"
 
-(* With telemetry off, the executor's only per-iteration allocation is
-   the [(index, item)] pair (3 words) each queue hop carries: one hop at
-   two domains (A -> fused B+C), two at three (A -> B -> C).  A 1-entry
-   ring stalls on nearly every item, so a stall path that allocated
-   anything would blow the bound.  Words are read from the pool's
-   per-worker counters, which cover exactly the role bodies. *)
+(* With telemetry off, a queue hop allocates at most one pair (3
+   words): one hop at two domains (A -> fused B+C), two at three (A -> B
+   -> C).  A ships each item alone and B hands C a recycled job, so a
+   warm run allocates nothing per hop.  A 1-entry ring stalls on nearly
+   every item, so a stall path that allocated anything would blow the
+   bound.  The rows are a no-op body and, at two domains,
+   one doing a [read] and a [write] per iteration: the speculative store
+   adds nothing per access.  Words are read from the pool's per-worker
+   counters, which cover exactly the role bodies. *)
 let noop_staged n =
-  Staged.Pure
+  Staged.Pipeline
     {
       Staged.iterations = n;
+      init = [||];
       produce = (fun i -> i);
-      transform = (fun x -> x);
+      transform = (fun ~read:_ ~write:_ x -> x);
       consume = (fun _ _ _ -> ());
-      finish = ignore;
+      finish = (fun ~read:_ _ -> ());
+    }
+
+let read_write_staged n =
+  Staged.Pipeline
+    {
+      Staged.iterations = n;
+      init = Array.make 16 0;
+      produce = (fun i -> i);
+      transform =
+        (fun ~read ~write i ->
+          let loc = i land 15 in
+          write loc (read loc + 1);
+          i);
+      consume = (fun _ _ _ -> ());
+      finish = (fun ~read:_ _ -> ());
     }
 
 let exec_hops_allocate_one_pair () =
@@ -254,27 +275,31 @@ let exec_hops_allocate_one_pair () =
         Array.fold_left ( +. ) 0. (Parallel.Pool.stats pool).Parallel.Pool.stat_minor_words
       in
       List.iter
-        (fun (threads, hops) ->
+        (fun (label, staged, threads, hops) ->
           List.iter
             (fun queue_capacity ->
               let w0 = words () in
-              let r = Exec.run ~pool ~queue_capacity ~threads ~name:"noop" (noop_staged n) in
+              let r = Exec.run ~pool ~queue_capacity ~threads ~name:label (staged n) in
               let per_hop = (words () -. w0) /. float_of_int (n * hops) in
               (* A few hundred words per run cover the role closures. *)
               Alcotest.(check bool)
-                (Printf.sprintf "%d threads, capacity %d: %.3f words per hop <= 3" threads
-                   queue_capacity per_hop)
+                (Printf.sprintf "%s, %d threads, capacity %d: %.3f words per hop <= 3" label
+                   threads queue_capacity per_hop)
                 true
                 (per_hop <= 3. +. (512. /. float_of_int (n * hops)));
               if queue_capacity = 1 then
                 Alcotest.(check bool)
-                  (Printf.sprintf "%d threads, capacity 1: the run stalled" threads)
+                  (Printf.sprintf "%s, %d threads, capacity 1: the run stalled" label threads)
                   true
                   (Array.exists
                      (fun rs -> rs.Exec.rs_starved +. rs.Exec.rs_blocked > 0.)
                      r.Exec.stats.Exec.roles))
             [ 1; 64 ])
-        [ (2, 1); (3, 2) ])
+        [
+          ("noop", noop_staged, 2, 1);
+          ("noop", noop_staged, 3, 2);
+          ("read+write", read_write_staged, 2, 1);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Speculation: conflicts squash, output stays sequential              *)
@@ -285,20 +310,21 @@ let exec_hops_allocate_one_pair () =
    output.  B work is padded so iterations genuinely overlap. *)
 let conflict_staged () =
   let pad = ref 0 in
-  Staged.Spec
+  Staged.Pipeline
     {
-      Staged.sp_iterations = 64;
-      sp_init = [| 1 |];
-      sp_produce = (fun i -> i);
-      sp_exec =
-        (fun ~read i ->
+      Staged.iterations = 64;
+      init = [| 1 |];
+      produce = (fun i -> i);
+      transform =
+        (fun ~read ~write i ->
           for k = 0 to 2000 do
             pad := !pad + k
           done;
           let v = read 0 in
-          ([ (0, Staged.mix v i) ], Staged.mix v i));
-      sp_consume = (fun buf i d -> Buffer.add_string buf (Printf.sprintf "%d %s\n" i (Staged.hex d)));
-      sp_finish = (fun ~read buf -> Buffer.add_string buf (Staged.hex (read 0) ^ "\n"));
+          write 0 (Staged.mix v i);
+          Staged.mix v i);
+      consume = (fun buf i d -> Buffer.add_string buf (Printf.sprintf "%d %s\n" i (Staged.hex d)));
+      finish = (fun ~read buf -> Buffer.add_string buf (Staged.hex (read 0) ^ "\n"));
     }
 
 let speculation_squashes_and_recovers () =
@@ -329,10 +355,21 @@ let spec_benches_squash_and_match () =
    replicas finish out of order. *)
 let forwarding_sees_youngest_earlier_write () =
   let module S = Runtime.Spec_store in
+  let executed iteration writes =
+    let log = S.log_create () in
+    S.start log ~iteration;
+    List.iter (fun (loc, v) -> S.write log loc v) writes;
+    log
+  in
   let st = S.create ~forwarding:true [| 10; 11 |] in
-  S.publish st ~iteration:7 [ (0, 70) ];
-  S.publish st ~iteration:3 [ (0, 30) ];
-  S.publish st ~iteration:5 [ (0, 50); (1, 51); (0, 55) ];
+  let publish iteration writes =
+    let log = executed iteration writes in
+    S.publish st log;
+    log
+  in
+  ignore (publish 7 [ (0, 70) ]);
+  let third = publish 3 [ (0, 30) ] in
+  ignore (publish 5 [ (0, 50); (1, 51); (0, 55) ]);
   let sees iteration loc = S.forward st ~iteration loc in
   Alcotest.(check int) "no earlier writer: committed" 10 (sees 3 0);
   Alcotest.(check int) "only earlier writer" 30 (sees 4 0);
@@ -341,31 +378,34 @@ let forwarding_sees_youngest_earlier_write () =
   Alcotest.(check int) "youngest of all" 70 (sees 100 0);
   Alcotest.(check int) "other location" 51 (sees 6 1);
   Alcotest.(check int) "later writer invisible" 11 (sees 5 1);
-  S.commit st [ (0, 31) ];
-  S.retire st ~iteration:3 [ (0, 30) ];
+  S.commit st (executed 3 [ (0, 31) ]);
+  S.retire st third;
   Alcotest.(check int) "retired writer reads committed" 31 (sees 4 0);
   Alcotest.(check int) "younger writers still forward" 55 (sees 6 0);
-  S.publish st ~iteration:9 [ (5, 1); (-1, 1) ];
+  ignore (publish 9 [ (5, 1); (-1, 1) ]);
   Alcotest.(check int) "out-of-range speculative writes skipped" 70 (sees 10 0);
   Alcotest.check_raises "out-of-range read" (Invalid_argument "index out of bounds")
     (fun () -> ignore (sees 10 2));
   let plain = S.create ~forwarding:false [| 10 |] in
-  S.publish plain ~iteration:0 [ (0, 1) ];
+  S.publish plain (executed 0 [ (0, 1) ]);
   Alcotest.(check int) "without forwarding reads committed" 10 (S.forward plain ~iteration:1 0)
 
-(* Locations are indices of [sp_init]: an access outside it raises
+(* Locations are indices of [init]: an access outside it raises
    [Invalid_argument] in the sequential reference and, once validation
    has shown the access is genuine, on every parallel layout. *)
 let out_of_range_location_raises () =
   let staged () =
-    Staged.Spec
+    Staged.Pipeline
       {
-        Staged.sp_iterations = 20;
-        sp_init = [| 0; 0 |];
-        sp_produce = (fun i -> i);
-        sp_exec = (fun ~read i -> ([ (0, i) ], read (if i = 13 then 2 else 1)));
-        sp_consume = (fun _ _ _ -> ());
-        sp_finish = (fun ~read:_ _ -> ());
+        Staged.iterations = 20;
+        init = [| 0; 0 |];
+        produce = (fun i -> i);
+        transform =
+          (fun ~read ~write i ->
+            write 0 i;
+            read (if i = 13 then 2 else 1));
+        consume = (fun _ _ _ -> ());
+        finish = (fun ~read:_ _ -> ());
       }
   in
   let raises label f =
@@ -380,45 +420,49 @@ let out_of_range_location_raises () =
           (Exec.run ~threads ~name:"range" (staged ())).Exec.output))
     [ 2; 3; 4 ]
 
-(* A speculative read allocates nothing: with probing off, a Spec
-   pipeline doing 1,000 reads per iteration costs the runtime's pool as
-   many minor words per iteration as one doing 10, up to the read log's
-   one-off growth (a few thousand words over the run).  Iteration
-   bodies keep their own allocation constant: one write and the result
-   pair. *)
-let reads_staged ~reads n =
-  Staged.Spec
+(* A speculative read or write allocates nothing: with probing off, a
+   pipeline doing 1,000 reads (or writes) per iteration costs the
+   runtime's pool as many minor words per iteration as one doing 10, up
+   to the log's one-off growth (a few thousand words over the run).
+   Iteration bodies allocate nothing of their own. *)
+let accesses_staged ~reads ~writes n =
+  Staged.Pipeline
     {
-      Staged.sp_iterations = n;
-      sp_init = Array.make 16 1;
-      sp_produce = (fun i -> i);
-      sp_exec =
-        (fun ~read i ->
+      Staged.iterations = n;
+      init = Array.make 16 1;
+      produce = (fun i -> i);
+      transform =
+        (fun ~read ~write i ->
           let acc = ref i in
           for k = 0 to reads - 1 do
             acc := !acc + read (k land 15)
           done;
-          ([ (i land 15, !acc land 0xffff) ], 0));
-      sp_consume = (fun _ _ _ -> ());
-      sp_finish = (fun ~read:_ _ -> ());
+          for k = 0 to writes - 1 do
+            write (k land 15) ((!acc + k) land 0xffff)
+          done;
+          0);
+      consume = (fun _ _ _ -> ());
+      finish = (fun ~read:_ _ -> ());
     }
 
-let spec_reads_allocate_nothing () =
+let accesses_allocate_nothing ~reads ~writes () =
   let n = 2_000 in
   Parallel.Pool.with_pool ~domains:2 (fun pool ->
       let words () =
         Array.fold_left ( +. ) 0. (Parallel.Pool.stats pool).Parallel.Pool.stat_minor_words
       in
-      let per_iteration reads =
+      let per_iteration k =
         let w0 = words () in
-        ignore (Exec.run ~pool ~threads:2 ~name:"reads" (reads_staged ~reads n));
+        ignore
+          (Exec.run ~pool ~threads:2 ~name:"accesses"
+             (accesses_staged ~reads:(reads * k) ~writes:(writes * k) n));
         (words () -. w0) /. float_of_int n
       in
       ignore (per_iteration 10);
       let few = per_iteration 10 and many = per_iteration 1_000 in
       Alcotest.(check bool)
-        (Printf.sprintf "%.2f words per iteration at 1000 reads vs %.2f at 10 (<= 4 apart)" many
-           few)
+        (Printf.sprintf "%.2f words per iteration at 1000 accesses vs %.2f at 10 (<= 4 apart)"
+           many few)
         true
         (Float.abs (many -. few) <= 4.))
 
@@ -672,7 +716,10 @@ let () =
             forwarding_sees_youngest_earlier_write;
           Alcotest.test_case "out-of-range location raises" `Quick
             out_of_range_location_raises;
-          Alcotest.test_case "spec reads allocate nothing" `Quick spec_reads_allocate_nothing;
+          Alcotest.test_case "spec reads allocate nothing" `Quick
+            (accesses_allocate_nothing ~reads:1 ~writes:0);
+          Alcotest.test_case "spec writes allocate nothing" `Quick
+            (accesses_allocate_nothing ~reads:0 ~writes:1);
         ] );
       ( "probe",
         [

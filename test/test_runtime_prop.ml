@@ -1,6 +1,6 @@
 (* Differential properties of the real Domain-parallel runtime.
 
-   Pure pipelines: for random lint-clean loops, the runtime reproduces
+   Pipelines without shared state: for random lint-clean loops, the runtime reproduces
    the sequential interpreter's output byte for byte at 2 and 4
    domains.
 
@@ -44,10 +44,11 @@ let differential (pdg, iterations) =
 let print (pdg, iterations) =
   Format.asprintf "iterations=%d@.%a" iterations Ir.Pdg.pp pdg
 
-(* Spec pipelines: a random dense store of 1..16 locations, per
-   iteration a random read set, write set and optional chain flag (read
-   everything iteration i-1 writes), plus busy work so replicas overlap.
-   At 2, 3 and 4 domains the output must equal run_seq byte for byte;
+(* Pipelines sharing a store: a random dense store of 1..16 locations,
+   per iteration a random read set, write set and optional chain flag
+   (read everything iteration i-1 writes), plus busy work so replicas
+   overlap.  The body reads its set again after writing, and those
+   reads must still see pre-iteration state.  At 2, 3 and 4 domains the output must equal run_seq byte for byte;
    the fused B+C role of 2 domains executes against committed state, so
    it never squashes; and the counters agree with each other: a squash
    is caused by at least one stale read, and stale reads always squash. *)
@@ -64,23 +65,24 @@ let spec_gen =
 
 let spec_staged (init, iters, pad) =
   let writes_of i = match iters.(i) with _, w, _ -> w in
-  Runtime.Staged.Spec
+  Runtime.Staged.Pipeline
     {
-      Runtime.Staged.sp_iterations = Array.length iters;
-      sp_init = init;
-      sp_produce = (fun i -> i);
-      sp_exec =
-        (fun ~read i ->
+      Runtime.Staged.iterations = Array.length iters;
+      init;
+      produce = (fun i -> i);
+      transform =
+        (fun ~read ~write i ->
           let reads, writes, chain = iters.(i) in
           let reads = if chain && i > 0 then reads @ writes_of (i - 1) else reads in
           for k = 1 to pad do
             ignore (Sys.opaque_identity k)
           done;
           let h = List.fold_left (fun h l -> Runtime.Staged.mix h (read l)) i reads in
-          (List.map (fun l -> (l, Runtime.Staged.mix h l)) writes, h));
-      sp_consume =
+          List.iter (fun l -> write l (Runtime.Staged.mix h l)) writes;
+          List.fold_left (fun h l -> Runtime.Staged.mix h (read l)) h reads);
+      consume =
         (fun buf i h -> Buffer.add_string buf (Printf.sprintf "%d %s\n" i (Runtime.Staged.hex h)));
-      sp_finish =
+      finish =
         (fun ~read buf ->
           Array.iteri (fun l _ -> Buffer.add_string buf (Runtime.Staged.hex (read l) ^ "\n")) init);
     }

@@ -82,7 +82,7 @@ let real_hooks pdg =
 let emitted_plans_sound =
   let gen = Check.Gen_ir.pdg ~max_nodes:8 ~breakers:true ~self_deps:true () in
   let prop pdg =
-    let candidates = S.generate pdg ~first_id:0 () in
+    let candidates = S.generate pdg ~first_id:0 in
     let res = S.run ~pdg ~hooks:(real_hooks pdg) ~candidates ~beam:4 ~budget:12 () in
     res.S.counts.S.generated = List.length candidates
     && List.for_all
